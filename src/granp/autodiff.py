@@ -265,11 +265,26 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: [a,b] x [b,c] -> [a,c]; leading dims broadcast."""
+    """Matrix product: [a,b] x [b,c] -> [a,c]; leading dims broadcast.
+
+    A 2-D ``b`` (a weight) is applied to a batched ``a`` flattened to rows,
+    so the forward and both gradients are one GEMM each instead of one per
+    leading index of ``a``.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        k, n = b.data.shape
+        rows = a.data.reshape(-1, k)
+        out = Tensor((rows @ b.data).reshape(a.data.shape[:-1] + (n,)))
+
+        def bwd_weight(g):
+            g_rows = g.reshape(-1, n)
+            return (g_rows @ b.data.T).reshape(a.data.shape), rows.T @ g_rows
+
+        return _record(out, (a, b), bwd_weight)
     try:
         out = Tensor(a.data @ b.data)
     except ValueError:

@@ -165,7 +165,7 @@ class GatLayer:
     def _mask_of(adjacency) -> np.ndarray:
         matrix = getattr(adjacency, "matrix", adjacency)
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
             raise ShapeError(f"gat_forward: adjacency must be square, got {matrix.shape}")
         return (matrix > 0).astype(ad.dtype())
 
@@ -178,25 +178,29 @@ class GatLayer:
         return out[0], attn[:, 0]
 
     def forward_seq(self, nodes_seq: Tensor, adjacency):
-        """Shared-graph batched form: [T, n, in_dim] -> [T, n, out_dim].
+        """Batched form: nodes [T, ..., n, in_dim] -> [T, ..., n, out_dim].
 
-        The same adjacency gates every step; attention is [heads, T, n, n].
+        ``adjacency`` is [..., n, n]: one graph per leading index, shared by
+        every step T.  A batch of scenes comes in the padded layout, one
+        n_max x n_max block per scene, so attention stays within a scene.
+        Returns (out, attention [heads, T, ..., n, n]).
         """
         mask = self._mask_of(adjacency)
-        n = nodes_seq.shape[1]
-        if mask.shape[0] != n:
-            raise ShapeError(f"gat_forward: {n} nodes but adjacency is {mask.shape}")
+        batch, n = tuple(nodes_seq.shape[1:-2]), nodes_seq.shape[-2]
+        if mask.shape != batch + (n, n):
+            raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but adjacency is {mask.shape}")
         d_out = self.out_dim
+        swap = tuple(range(nodes_seq.ndim - 2)) + (nodes_seq.ndim - 1, nodes_seq.ndim - 2)
         total = None
-        attn = np.empty((self.heads,) + (nodes_seq.shape[0], n, n), dtype=ad.dtype())
+        attn = np.empty((self.heads, nodes_seq.shape[0]) + batch + (n, n), dtype=ad.dtype())
         for k in range(self.heads):
-            wh = ad.matmul(nodes_seq, self.w[k].tensor)          # [T, n, d_out]
+            wh = ad.matmul(nodes_seq, self.w[k].tensor)          # [T, ..., n, d_out]
             a1 = self.a[k].tensor[:d_out]
             a2 = self.a[k].tensor[d_out:]
-            f1 = ad.matmul(wh, a1)                               # [T, n, 1]
+            f1 = ad.matmul(wh, a1)                               # [T, ..., n, 1]
             f2 = ad.matmul(wh, a2)
-            scores = ad.leaky_relu(f1 + ad.transpose(f2, (0, 2, 1)), self.slope)
-            alpha = masked_softmax(scores, mask)                 # [T, n, n]
+            scores = ad.leaky_relu(f1 + ad.transpose(f2, swap), self.slope)
+            alpha = masked_softmax(scores, mask)                 # [T, ..., n, n]
             attn[k] = alpha.data
             head_out = ad.matmul(alpha, wh)
             total = head_out if total is None else total + head_out

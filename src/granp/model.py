@@ -189,34 +189,40 @@ class GranpModel:
     # -- pair embedding ----------------------------------------------------
 
     def _stack(self, scenes):
-        """Block-diagonal batching: one graph pass covers every scene."""
+        """Padded per-scene batching, the ``to_dense_batch`` layout.
+
+        Scene i's nodes fill ``states[:, i, :n_i]`` of a [t_n, B, n_max, 4]
+        array, ego at node 0.  The adjacency is [B, n_max, n_max]: scene
+        i's graph in its top-left n_i x n_i block, and a self-loop on every
+        padding node so no softmax row is empty.  Real nodes have no edge
+        to a padding node, so padding never reaches a real node's output.
+        """
         cfg = self.config
         for sc in scenes:
             if sc.states.shape[0] != cfg.t_n or sc.states.shape[2] != STATE_FEATURES:
                 raise DataError(f"scene states {sc.states.shape}, expected "
                                 f"[{cfg.t_n}, n, {STATE_FEATURES}]")
-        sizes = [sc.states.shape[1] for sc in scenes]
-        states = np.concatenate([sc.states for sc in scenes], axis=1)
-        total = states.shape[1]
-        adj = np.zeros((total, total))
-        ego_idx = np.empty(len(scenes), dtype=np.intp)
-        off = 0
-        for i, (sc, n) in enumerate(zip(scenes, sizes)):
-            adj[off:off + n, off:off + n] = sc.adjacency
-            ego_idx[i] = off    # ego is node 0 of its block
-            off += n
-        return states, adj, ego_idx
+        n_max = max(sc.states.shape[1] for sc in scenes)
+        states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES))
+        adj = np.tile(np.eye(n_max), (len(scenes), 1, 1))
+        for i, sc in enumerate(scenes):
+            n = sc.states.shape[1]
+            states[:, i, :n] = sc.states
+            adj[i, :n, :n] = sc.adjacency
+        return states, adj
 
     def encode_pairs(self, scenes):
-        """Per-timestep GAT over the stacked graph, then the LSTM over each
-        ego sequence.  Returns (H [N, d], ego_seq [t_n, N, d], attention)."""
-        states, adj, ego_idx = self._stack(scenes)
+        """Per-timestep GAT over the padded scene graphs, then the LSTM over
+        each ego sequence.  Returns (H [B, d], ego_seq [t_n, B, d],
+        attention), with one [heads, t_n, B, n_max, n_max] array per GAT
+        layer."""
+        states, adj = self._stack(scenes)
         h = self.embed.forward(ad.constant(states))
         attention = []
         for gat in self.gat:
             h, att = gat.forward_seq(h, adj)
             attention.append(att)
-        ego_seq = ad.slice_(h, (slice(None), ego_idx))
+        ego_seq = h[:, :, 0]
         return self.lstm.encode(ego_seq), ego_seq, attention
 
     def pair_features(self, ego_seq: Tensor, futures: np.ndarray) -> Tensor:
@@ -353,4 +359,4 @@ class GranpModel:
     def attention_maps(self, scene: PreparedScene):
         """Per-layer attention over one scene: list of [heads, t_n, n, n]."""
         _, _, attention = self.encode_pairs([scene])
-        return scene.ids, attention
+        return scene.ids, [att[:, :, 0] for att in attention]

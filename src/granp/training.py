@@ -18,6 +18,8 @@ from .model import (GranpModel, LOG_2PI, ModelConfig, PredictiveDistribution,
                     PreparedBatch, prepare_scene, sample_latent)
 
 CHECKPOINT_VERSION = 1
+# params.bin element type per manifest "precision"
+_PARAM_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 HORIZONS_S = (1, 2, 3, 4, 5)
 SAMPLE_DT = 1.0 / TARGET_HZ
 
@@ -161,6 +163,9 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
             since_best += 1
             if settings.patience and since_best >= settings.patience:
                 break
+    if best_params is None:
+        raise NumericError(f"validation NLL was not finite in any of "
+                           f"{len(val_hist)} epochs")
     for p, data in zip(model.parameters(), best_params):
         p.data = data
     return TrainResult(model=model, stats=stats, reference=ref_raw,
@@ -270,20 +275,23 @@ def baseline_report(scenes, kind: str = "cv", t_f: int = 25) -> EvalReport:
 
 def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
                     reference_scenes):
-    """manifest.json + params.bin (little-endian float32, manifest order)."""
+    """manifest.json + params.bin (little-endian, manifest order), stored in
+    the run's precision: float32 for f32, float64 for f64."""
     os.makedirs(dir_path, exist_ok=True)
+    precision = ad.get_precision()
+    dt = _PARAM_DTYPES[precision]
     entries = []
     blobs = []
     offset = 0
     for p in model.parameters():
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(p.data, dtype=dt).tobytes()
         entries.append({"name": p.name, "shape": list(p.data.shape),
                         "offset": offset})
         blobs.append(raw)
         offset += len(raw)
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "precision": ad.get_precision(),
+        "precision": precision,
         "config": asdict(model.config),
         "normalization": {"mean": stats.mean.tolist(),
                           "std": stats.std.tolist()},
@@ -311,6 +319,11 @@ def load_checkpoint(dir_path):
         raise FormatError(f"{manifest_path}: version {manifest.get('version')}"
                           f", expected {CHECKPOINT_VERSION}")
     try:
+        precision = manifest["precision"]
+        if precision not in _PARAM_DTYPES:
+            raise FormatError(f"{manifest_path}: unknown precision "
+                              f"{precision!r}")
+        dt = _PARAM_DTYPES[precision]
         config = ModelConfig(**manifest["config"])
         model = GranpModel(config, seed=0)
         params = model.parameters()
@@ -331,11 +344,11 @@ def load_checkpoint(dir_path):
                 raise FormatError(f"{manifest_path}: offset {entry['offset']} "
                                   f"for {p.name!r}, expected {offset}")
             count = int(np.prod(shape)) if shape else 1
-            end = offset + 4 * count
+            end = offset + dt.itemsize * count
             if end > len(blob):
                 raise FormatError(f"params.bin truncated at {p.name!r}: need "
                                   f"{end} bytes, have {len(blob)}")
-            p.data = np.frombuffer(blob, dtype="<f4", count=count,
+            p.data = np.frombuffer(blob, dtype=dt, count=count,
                                    offset=offset).reshape(shape)
             offset = end
         if offset != len(blob):

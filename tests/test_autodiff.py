@@ -188,6 +188,30 @@ def test_grad_check_linear_map_is_exact(f64):
     assert max(errs.values()) < 1e-8
 
 
+def test_matmul_4d_by_weight_grad_check(f64):
+    rng = np.random.default_rng(8)
+    a = ad.Parameter("a", rng.normal(size=(2, 3, 4, 5)))
+    w = ad.Parameter("w", rng.normal(size=(5, 3)))
+    off = ad.constant(rng.normal(size=(2, 3, 4, 3)))
+    errs = ad.grad_check(
+        lambda: ad.reduce_sum(ad.mul(ad.tanh(ad.matmul(a.tensor, w.tensor)), off)),
+        [a, w])
+    assert max(errs.values()) < 1e-4
+
+
+def test_matmul_weight_gradient_matches_batched_outer_product(f64):
+    rng = np.random.default_rng(9)
+    a = ad.Parameter("a", rng.normal(size=(3, 4, 6, 5)))
+    w = ad.Parameter("w", rng.normal(size=(5, 7)))
+    g = rng.normal(size=(3, 4, 6, 7))
+    with ad.Tape() as tape:
+        root = ad.reduce_sum(ad.mul(ad.matmul(a.tensor, w.tensor), ad.constant(g)))
+    grads = ad.backward(tape, root, [a, w])
+    gb_batched = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=(0, 1))
+    np.testing.assert_allclose(grads["w"], gb_batched, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads["a"], g @ w.data.T, rtol=0, atol=1e-12)
+
+
 def test_grad_check_constant_objective_zero_error(f64):
     w = ad.Parameter("w", [1.0, 2.0])
     c = ad.constant([4.0])

@@ -448,11 +448,69 @@ def test_model_seeding_is_deterministic():
 def test_attention_maps_rows_sum_to_one(f64):
     rng = np.random.default_rng(14)
     cfg = _micro_config()
-    scene = _micro_scene(rng, cfg, 4)
     model = GranpModel(cfg, seed=3)
-    ids, attention = model.attention_maps(scene)
-    assert ids == scene.ids
-    assert len(attention) == 2
+    for n in (1, 4, 7):
+        scene = _micro_scene(rng, cfg, n)
+        ids, attention = model.attention_maps(scene)
+        assert ids == scene.ids
+        assert len(attention) == 2
+        for att in attention:
+            assert att.shape == (cfg.heads, cfg.t_n, n, n)
+            np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
+
+
+# -- padded batching ----------------------------------------------------------
+
+def test_encode_pairs_padded_batch_matches_single_scenes(f64):
+    rng = np.random.default_rng(15)
+    cfg = _micro_config()
+    model = GranpModel(cfg, seed=4)
+    scenes = [_micro_scene(rng, cfg, n) for n in (3, 1, 7, 2, 5, 4, 6)]
+    h, ego_seq, attention = model.encode_pairs(scenes)
+    for i, sc in enumerate(scenes):
+        h_i, ego_i, att_i = model.encode_pairs([sc])
+        np.testing.assert_allclose(h.data[i], h_i.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ego_seq.data[:, i], ego_i.data[:, 0],
+                                   rtol=0, atol=1e-12)
+        n = sc.states.shape[1]
+        for att, alone in zip(attention, att_i):
+            np.testing.assert_allclose(att[:, :, i, :n, :n], alone[:, :, 0],
+                                       rtol=0, atol=1e-12)
+            assert (att[:, :, i, :n, n:] == 0.0).all()
+
+
+def test_padding_node_states_do_not_reach_real_nodes(f64):
+    rng = np.random.default_rng(16)
+    cfg = _micro_config()
+    model = GranpModel(cfg, seed=5)
+    scenes = [_micro_scene(rng, cfg, n) for n in (2, 6, 4)]
+    states, adj = model._stack(scenes)
+
+    def node_outputs(s):
+        h = model.embed.forward(ad.constant(s))
+        for gat in model.gat:
+            h, _ = gat.forward_seq(h, adj)
+        return h.data
+
+    noisy = states.copy()
+    for i, sc in enumerate(scenes):
+        noisy[:, i, sc.states.shape[1]:] = rng.normal(
+            scale=10.0, size=noisy[:, i, sc.states.shape[1]:].shape)
+    base, moved = node_outputs(states), node_outputs(noisy)
+    assert not np.allclose(base[:, 0, 2:], moved[:, 0, 2:])
+    for i, sc in enumerate(scenes):
+        n = sc.states.shape[1]
+        np.testing.assert_array_equal(moved[:, i, :n], base[:, i, :n])
+
+
+def test_encode_pairs_attention_is_padded_not_block_diagonal():
+    rng = np.random.default_rng(17)
+    cfg = _micro_config()
+    model = GranpModel(cfg, seed=6)
+    sizes = (2, 5, 3)
+    scenes = [_micro_scene(rng, cfg, n) for n in sizes]
+    _, _, attention = model.encode_pairs(scenes)
+    padded = cfg.heads * cfg.t_n * len(sizes) * max(sizes) ** 2
     for att in attention:
-        assert att.shape == (cfg.heads, cfg.t_n, 4, 4)
-        np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
+        assert att.size == padded
+        assert att.size != cfg.heads * cfg.t_n * sum(sizes) ** 2

@@ -121,6 +121,17 @@ def test_train_aborts_on_nonfinite_loss_naming_the_batch():
         train(scenes, _tiny_config(), settings, seed=5)
 
 
+def test_train_raises_numeric_error_when_validation_never_finite():
+    scenes = synth_scenes(10, seed=0, mix=0.5)
+    # train() holds out the first index of its seeded permutation (n_val = 1)
+    val = scenes[np.random.default_rng(1).permutation(len(scenes))[0]]
+    val.future = val.future.copy()
+    val.future[3, 0] = np.nan
+    settings = TrainSettings(epochs=2, batch_size=8, reference_size=4)
+    with pytest.raises(NumericError, match="validation NLL"):
+        train(scenes, _tiny_config(), settings, seed=1)
+
+
 def test_train_rejects_bad_sizes():
     scenes = synth_scenes(3, seed=0, mix=0.5)
     with pytest.raises(DataError, match="scenes"):
@@ -270,6 +281,28 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert lref[0].ego == reference[0].ego
     np.testing.assert_allclose(lref[0].future, reference[0].future,
                                rtol=1e-6)
+
+
+def test_checkpoint_f64_roundtrip_is_bit_identical(tmp_path, f64):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    loaded, _, _ = load_checkpoint(tmp_path)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert q.data.dtype == np.float64
+        np.testing.assert_array_equal(p.data, q.data)
+    blob = open(os.path.join(tmp_path, "params.bin"), "rb").read()
+    assert len(blob) == 8 * sum(p.data.size for p in model.parameters())
+
+
+def test_checkpoint_rejects_unknown_precision(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    path = os.path.join(tmp_path, "manifest.json")
+    manifest = json.load(open(path))
+    manifest["precision"] = "f16"
+    json.dump(manifest, open(path, "w"))
+    with pytest.raises(FormatError, match="precision"):
+        load_checkpoint(tmp_path)
 
 
 def test_checkpoint_offsets_are_cumulative(tmp_path):
