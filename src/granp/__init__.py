@@ -3,14 +3,13 @@ LSTM encode the scene, an attentive-neural-process head emits per-step
 Gaussian futures.  Ships its own reverse-mode autodiff engine, a synthetic
 scene generator, training and evaluation harnesses, and a CLI."""
 
-from .data import (NormalizationStats, RawTrack, TrajectoryScene,
-                   ingest_tracks, load_scenes, make_episode,
+from .data import (NormalizationStats, PreparedBatch, RawTrack,
+                   TrajectoryScene, ingest_tracks, load_scenes, make_episode,
                    resample_and_window, save_scenes, synth_scenes)
-from .errors import (DataError, FormatError, GranpError, NumericError,
-                     ShapeError, UnknownOpError)
+from .errors import DataError, FormatError, GranpError, NumericError, ShapeError
 from .model import (GranpModel, LatentDistribution, ModelConfig,
-                    PredictiveDistribution, PreparedBatch, PreparedScene,
-                    kl_diag, prepare_scene, sample_latent)
+                    PredictiveDistribution, PreparedScene, kl_diag,
+                    prepare_scene, sample_latent)
 from .scene_graph import AdjacencyMatrix, OccupancyGrid, build_adjacency
 from .training import (AdamState, EvalReport, TrainResult, TrainSettings,
                        baseline_report, evaluate, load_checkpoint,
@@ -25,9 +24,9 @@ __all__ = [
     "ModelConfig", "NormalizationStats", "NumericError", "OccupancyGrid",
     "PredictiveDistribution", "PreparedBatch", "PreparedScene", "RawTrack",
     "ShapeError", "TrainResult", "TrainSettings", "TrajectoryScene",
-    "UnknownOpError", "baseline_report", "build_adjacency", "evaluate",
-    "ingest_tracks", "kl_diag", "load_checkpoint", "load_scenes",
-    "make_episode", "prepare_scene", "resample_and_window",
-    "run_gradient_checks", "sample_latent", "save_checkpoint", "save_scenes",
-    "synth_scenes", "train",
+    "baseline_report", "build_adjacency", "evaluate", "ingest_tracks",
+    "kl_diag", "load_checkpoint", "load_scenes", "make_episode",
+    "prepare_scene", "resample_and_window", "run_gradient_checks",
+    "sample_latent", "save_checkpoint", "save_scenes", "synth_scenes",
+    "train",
 ]

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError, UnknownOpError
+from .errors import DataError, NumericError, ShapeError
 
 # ---------------------------------------------------------------------------
 # Precision configuration
@@ -54,14 +54,13 @@ def precision(name: str):
 # Tensor / Tape / Parameter
 
 class Tensor:
-    """Dense multi-dimensional array with an optional gradient slot."""
+    """Dense multi-dimensional array; ``requires_grad`` marks it for the tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=dtype())
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self):
@@ -140,14 +139,13 @@ def constant(x) -> Tensor:
 
 
 class Parameter:
-    """Named trainable tensor with an accumulated-gradient slot."""
+    """Named trainable tensor; ``backward`` keys its gradient by the name."""
 
-    __slots__ = ("name", "tensor", "grad")
+    __slots__ = ("name", "tensor")
 
     def __init__(self, name: str, data):
         self.name = name
         self.tensor = Tensor(np.asarray(data, dtype=dtype()), requires_grad=True)
-        self.grad = np.zeros_like(self.tensor.data)
 
     @property
     def data(self) -> np.ndarray:
@@ -156,9 +154,6 @@ class Parameter:
     @data.setter
     def data(self, value) -> None:
         self.tensor.data = np.asarray(value, dtype=self.tensor.data.dtype)
-
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.tensor.data)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -453,55 +448,14 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Generic dispatch
-
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div, "matmul": matmul, "conv1d": conv1d}
-_UNARY = {
-    "exp": exp, "log": log, "sigmoid": sigmoid, "tanh": tanh, "relu": relu,
-    "softplus": softplus, "softmax_rows": softmax_rows,
-}
-
-
-def forward_op(kind: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None) -> Tensor:
-    """Apply a primitive by name; records on the active tape."""
-    attrs = attrs or {}
-    if kind in _BINARY:
-        if len(inputs) != 2:
-            raise ShapeError(f"{kind}: expected 2 inputs, got {len(inputs)}")
-        return _BINARY[kind](inputs[0], inputs[1])
-    if kind in _UNARY:
-        if len(inputs) != 1:
-            raise ShapeError(f"{kind}: expected 1 input, got {len(inputs)}")
-        return _UNARY[kind](inputs[0])
-    if kind == "leaky_relu":
-        if len(inputs) != 1:
-            raise ShapeError("leaky_relu: expected 1 input")
-        return leaky_relu(inputs[0], attrs.get("slope", LEAKY_SLOPE))
-    if kind == "concat":
-        return concat(inputs, axis=attrs.get("axis", 0))
-    if kind == "slice":
-        return slice_(inputs[0], attrs["key"])
-    if kind == "reshape":
-        return reshape(inputs[0], attrs["shape"])
-    if kind == "transpose":
-        return transpose(inputs[0], attrs.get("axes"))
-    if kind == "sum":
-        return reduce_sum(inputs[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    if kind == "mean":
-        return reduce_mean(inputs[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    raise UnknownOpError(f"unknown primitive kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Backward pass and gradient checking
 
 def backward(tape: Tape, root: Tensor,
-             params: Optional[Iterable[Parameter]] = None) -> dict[str, np.ndarray]:
+             params: Iterable[Parameter]) -> dict[str, np.ndarray]:
     """Accumulate gradients of a scalar root through the tape.
 
     Returns a map of Parameter name to gradient; Parameters unreachable
-    from the root receive zeros. Every visited tensor also gets its
-    ``.grad`` field set.
+    from the root receive zeros.
     """
     if root.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
@@ -519,17 +473,9 @@ def backward(tape: Tape, root: Tensor,
             del grads[id(node.out)]  # intermediate; free once consumed
 
     out: dict[str, np.ndarray] = {}
-    if params is not None:
-        for p in params:
-            g = grads.get(id(p.tensor))
-            p.grad = p.grad + g if g is not None else p.grad
-            out[p.name] = np.zeros_like(p.tensor.data) if g is None else g
-    # expose .grad on leaf tensors touched by the traversal (tests, debugging)
-    seen_out = {id(n.out) for n in tape.nodes}
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in seen_out and id(t) in grads:
-                t.grad = grads[id(t)]
+    for p in params:
+        g = grads.get(id(p.tensor))
+        out[p.name] = np.zeros_like(p.tensor.data) if g is None else g
     return out
 
 
@@ -547,8 +493,6 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter],
         if p.tensor.data.dtype != np.float64:
             raise DataError(f"grad_check: parameter {p.name!r} is not float64")
 
-    for p in params:
-        p.zero_grad()
     with Tape() as tape:
         value = fn()
     if not np.isfinite(value.data).all():

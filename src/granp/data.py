@@ -3,12 +3,13 @@ episode assembly, and the synthetic highway generator."""
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, FormatError
-from .scene_graph import OccupancyGrid
+from .scene_graph import GRID
 
 T_N = 15            # history steps (3 s at 5 Hz)
 T_F = 25            # future steps (5 s at 5 Hz)
@@ -97,6 +98,9 @@ def ingest_tracks(path) -> list:
                 vals = [float(v) for v in row[2:8]]
             except ValueError:
                 raise FormatError(f"{path}: non-numeric value in row {i}") from None
+            for col, v in zip(CSV_COLUMNS[2:8], vals):
+                if not math.isfinite(v):
+                    raise FormatError(f"{path}: non-finite {col} in row {i}")
             rows.setdefault(vid, []).append((frame, *vals, lane))
     tracks = []
     for vid in sorted(rows):
@@ -109,8 +113,7 @@ def ingest_tracks(path) -> list:
     return tracks
 
 
-def resample_and_window(tracks, source_hz: int, ego_ids=None,
-                        grid: OccupancyGrid | None = None, stride: int = 1):
+def resample_and_window(tracks, source_hz: int, ego_ids=None):
     """Downsample to 5 Hz and slide 8 s windows over each ego track.
 
     Returns (scenes, skipped) where skipped counts ego tracks shorter than
@@ -119,8 +122,6 @@ def resample_and_window(tracks, source_hz: int, ego_ids=None,
     """
     if source_hz % TARGET_HZ != 0:
         raise DataError(f"source rate {source_hz} not divisible by {TARGET_HZ}")
-    if grid is None:
-        grid = OccupancyGrid()
     step = source_hz // TARGET_HZ
     by_id = {t.vid: t for t in tracks}
     if len(by_id) != len(tracks):
@@ -141,7 +142,7 @@ def resample_and_window(tracks, source_hz: int, ego_ids=None,
         if len(frames) < WINDOW:
             skipped += 1
             continue
-        for w in range(0, len(frames) - WINDOW + 1, stride):
+        for w in range(len(frames) - WINDOW + 1):
             ref = w + T_N - 1
             origin = states[ref, :2]
             ego_hist = states[w:w + T_N].copy()
@@ -157,7 +158,7 @@ def resample_and_window(tracks, source_hz: int, ego_ids=None,
                     continue
                 lo //= step
                 pos = ns[lo + T_N - 1, :2]
-                if not grid.contains(pos[0] - states[ref, 0],
+                if not GRID.contains(pos[0] - states[ref, 0],
                                      pos[1] - states[ref, 1]):
                     continue
                 hist = ns[lo:lo + T_N].copy()
@@ -205,24 +206,10 @@ class NormalizationStats:
         return np.asarray(arr) * self.std[:2]
 
 
-def normalize_scenes(scenes, stats: NormalizationStats):
-    """Map scenes into z-score units; history gets all four features,
-    futures use the position statistics."""
-    if stats is None:
-        raise DataError("fit NormalizationStats before applying")
-    out = []
-    for sc in scenes:
-        history = {vid: stats.apply_states(h) for vid, h in sc.history.items()}
-        out.append(TrajectoryScene(ego=sc.ego, history=history,
-                                   future=stats.apply_xy(sc.future),
-                                   rate_hz=sc.rate_hz))
-    return out
-
-
 @dataclass
-class EpisodeBatch:
-    """Shuffled scene batch with its context prefix: context = scenes[:m],
-    target = all scenes."""
+class PreparedBatch:
+    """Scene batch with its context prefix: context = scenes[:m], and every
+    scene is a target."""
 
     scenes: list
     m: int
@@ -236,12 +223,8 @@ class EpisodeBatch:
     def context(self):
         return self.scenes[:self.m]
 
-    @property
-    def target(self):
-        return self.scenes
 
-
-def make_episode(scenes, seed) -> EpisodeBatch:
+def make_episode(scenes, seed) -> PreparedBatch:
     """Seeded shuffle, then context size m ~ Uniform[3, N] as the prefix."""
     n = len(scenes)
     if n < 3:
@@ -249,7 +232,7 @@ def make_episode(scenes, seed) -> EpisodeBatch:
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     m = int(rng.integers(3, n + 1))
-    return EpisodeBatch(scenes=[scenes[i] for i in order], m=m)
+    return PreparedBatch(scenes=[scenes[i] for i in order], m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +332,20 @@ def scenes_from_doc(doc, where: str = "scene archive"):
             raise FormatError(f"{where}: rate_hz {doc['rate_hz']}, expected "
                               f"{TARGET_HZ}")
         scenes = []
-        for entry in doc["scenes"]:
+        for i, entry in enumerate(doc["scenes"]):
+            if not isinstance(entry["history"], dict):
+                raise FormatError(f"{where}: scene {i} history is not an "
+                                  f"object")
             history = {int(vid): np.array(h, dtype=np.float64)
                        for vid, h in entry["history"].items()}
+            future = np.array(entry["future"], dtype=np.float64)
+            named = [("future", future)] + [(f"history of vehicle {vid}", h)
+                                            for vid, h in history.items()]
+            for name, arr in named:
+                if not np.isfinite(arr).all():
+                    raise FormatError(f"{where}: scene {i} {name} is not finite")
             scenes.append(TrajectoryScene(
-                ego=int(entry["ego"]), history=history,
-                future=np.array(entry["future"], dtype=np.float64)))
+                ego=int(entry["ego"]), history=history, future=future))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{where}: malformed scene archive ({e})") from None
     return scenes

@@ -19,7 +19,3 @@ class FormatError(GranpError):
 
 class NumericError(GranpError):
     """A numeric failure: NaN loss, non-finite objective, failed gradient check."""
-
-
-class UnknownOpError(GranpError):
-    """An operation kind outside the supported primitive set."""

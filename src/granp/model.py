@@ -18,8 +18,8 @@ from .autodiff import Parameter, Tensor
 from .errors import DataError, NumericError, ShapeError
 from .layers import (ConvMlpEncoder, CrossAttention, GatLayer, LstmEncoder,
                      MlpBlock)
-from .scene_graph import OccupancyGrid, build_adjacency, select_grid_nodes
-from .data import T_F, T_N
+from .scene_graph import build_adjacency, select_grid_nodes
+from .data import T_F, T_N, PreparedBatch
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -59,23 +59,12 @@ class ModelConfig:
 @dataclass
 class PreparedScene:
     """A scene ready for the model: z-scored states stacked node-major, the
-    RBF adjacency built from meter positions, and both flavors of future."""
+    RBF adjacency built from meter positions, and the z-scored future."""
 
     ids: tuple
     states: np.ndarray          # [t_n, n, 4], normalized
     adjacency: np.ndarray       # [n, n]
     future: np.ndarray | None   # [t_f, 2], normalized
-    future_m: np.ndarray | None  # [t_f, 2], meters
-
-
-@dataclass
-class PreparedBatch:
-    scenes: list
-    m: int
-
-    @property
-    def context(self):
-        return self.scenes[:self.m]
 
 
 @dataclass
@@ -103,26 +92,19 @@ class PredictiveDistribution:
     samples: np.ndarray     # [S, t_f, 2] decoded means per latent draw
 
 
-def prepare_scene(scene, stats, grid: OccupancyGrid | None = None) -> PreparedScene:
+def prepare_scene(scene, stats) -> PreparedScene:
     """Order nodes (ego first), build the adjacency from meter positions,
     then z-score the states.  The graph must come from meters: the RBF
     bandwidth is a physical distance."""
-    order = select_grid_nodes(scene, T_N - 1, grid)
+    order = select_grid_nodes(scene, T_N - 1)
     pos = np.stack([scene.history[v][T_N - 1, :2] for v in order])
-    adj = build_adjacency(order, pos, grid)
+    adj = build_adjacency(order, pos)
     states = np.stack([stats.apply_states(scene.history[v]) for v in order],
                       axis=1)
     future = scene.future
     return PreparedScene(
         ids=tuple(order), states=states, adjacency=adj.matrix,
-        future=None if future is None else stats.apply_xy(future),
-        future_m=None if future is None else np.asarray(future))
-
-
-def prepare_batch(episode, stats, grid: OccupancyGrid | None = None) -> PreparedBatch:
-    return PreparedBatch(
-        scenes=[prepare_scene(s, stats, grid) for s in episode.scenes],
-        m=episode.m)
+        future=None if future is None else stats.apply_xy(future))
 
 
 def kl_diag(posterior: LatentDistribution, prior: LatentDistribution) -> Tensor:
@@ -181,10 +163,6 @@ class GranpModel:
         params += self.cross.parameters()
         params += self.decoder.parameters()
         return params
-
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     # -- pair embedding ----------------------------------------------------
 
@@ -249,6 +227,20 @@ class GranpModel:
         mu = raw[:, :lat]
         sigma = LATENT_SIGMA_MIN + LATENT_SIGMA_SPAN * ad.sigmoid(raw[:, lat:])
         return LatentDistribution(mu=mu, sigma=sigma)
+
+    def encode_context(self, context):
+        """Everything the ANP head takes from the context alone: the pair
+        embeddings h_ctx [m, d], their deterministic representations r_ctx
+        [m, d] and the latent prior.  Scene graphs carry no cross-scene
+        edges, so the context encodes once for any number of targets."""
+        if any(sc.future is None for sc in context):
+            raise DataError("encode_context: context pairs need futures")
+        h_ctx, ego_ctx, _ = self.encode_pairs(context)
+        feats = self.pair_features(ego_ctx,
+                                   np.stack([sc.future for sc in context]))
+        r_ctx = self.enc_det.encode(feats)
+        prior = self.latent_path(self.enc_lat.encode(feats))
+        return h_ctx, r_ctx, prior
 
     def decode(self, h_target: Tensor, r_star: Tensor, z: Tensor):
         """(H_T, r*, z) -> per-step position Gaussians, normalized units.
@@ -320,18 +312,10 @@ class GranpModel:
         if noise.ndim != 2 or noise.shape[1] != self.config.latent:
             raise ShapeError(f"predict: noise {noise.shape}, expected "
                              f"[S, {self.config.latent}]")
-        if any(sc.future is None for sc in context):
-            raise DataError("predict: context pairs need futures")
-        # Scene graphs carry no cross-scene edges, so the context encodes
-        # once and targets stream through in chunks of bounded memory.
-        h_ctx, ego_ctx, _ = self.encode_pairs(list(context))
-        feats = self.pair_features(ego_ctx,
-                                   np.stack([sc.future for sc in context]))
-        r_ctx = self.enc_det.encode(feats)
-        prior = self.latent_path(self.enc_lat.encode(feats))
-
+        h_ctx, r_ctx, prior = self.encode_context(list(context))
         results = []
         targets = list(targets)
+        # targets stream through in chunks of bounded memory
         for start in range(0, len(targets), chunk_size):
             chunk = targets[start:start + chunk_size]
             h_t, _, _ = self.encode_pairs(chunk)

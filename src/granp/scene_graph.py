@@ -35,6 +35,9 @@ class OccupancyGrid:
         return abs(dy) <= self.length / 2.0 and abs(dx) <= self.width / 2.0
 
 
+GRID = OccupancyGrid()  # gates and weights every scene graph
+
+
 @dataclass
 class AdjacencyMatrix:
     matrix: np.ndarray          # [n, n], symmetric, entries in [0, 1]
@@ -46,32 +49,28 @@ class AdjacencyMatrix:
         self.index = {vid: i for i, vid in enumerate(self.ids)}
 
 
-def select_grid_nodes(scene, reference_time: int, grid: OccupancyGrid | None = None):
+def select_grid_nodes(scene, reference_time: int):
     """Ids of vehicles inside the grid around the ego at reference_time.
 
     The ego is always first; neighbors follow in ascending id order.
     """
-    if grid is None:
-        grid = OccupancyGrid()
     ego_pos = scene.history[scene.ego][reference_time, :2]
     kept = [scene.ego]
     for vid in sorted(scene.history):
         if vid == scene.ego:
             continue
         pos = scene.history[vid][reference_time, :2]
-        if grid.contains(pos[0] - ego_pos[0], pos[1] - ego_pos[1]):
+        if GRID.contains(pos[0] - ego_pos[0], pos[1] - ego_pos[1]):
             kept.append(vid)
     return kept
 
 
-def build_adjacency(ids, positions, grid: OccupancyGrid | None = None) -> AdjacencyMatrix:
+def build_adjacency(ids, positions) -> AdjacencyMatrix:
     """RBF adjacency A_ij = exp(-dist^2 / delta^2) over grid-gated nodes.
 
     positions: [n, 2] meters, row i for ids[i].  Each unordered pair is
     computed once so the matrix is symmetric to the bit.
     """
-    if grid is None:
-        grid = OccupancyGrid()
     ids = tuple(ids)
     if len(set(ids)) != len(ids):
         raise DataError(f"duplicate node ids in {ids}")
@@ -79,7 +78,7 @@ def build_adjacency(ids, positions, grid: OccupancyGrid | None = None) -> Adjace
     if positions.shape != (len(ids), 2):
         raise DataError(f"expected positions [{len(ids)}, 2], got "
                         f"{positions.shape}")
-    delta = grid.delta
+    delta = GRID.delta
     n = len(ids)
     a = np.eye(n)
     for i in range(n):

@@ -5,17 +5,17 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .data import (EpisodeBatch, NormalizationStats, TARGET_HZ,
-                   make_episode, scenes_from_doc, scenes_to_doc)
+from .data import (NormalizationStats, TARGET_HZ, make_episode,
+                   scenes_from_doc, scenes_to_doc)
 from .errors import DataError, FormatError, NumericError
 from .model import (GranpModel, LOG_2PI, ModelConfig, PredictiveDistribution,
-                    PreparedBatch, prepare_scene, sample_latent)
+                    STATE_FEATURES, prepare_scene, sample_latent)
 
 CHECKPOINT_VERSION = 1
 # params.bin element type per manifest "precision"
@@ -69,7 +69,7 @@ class TrainResult:
     model: GranpModel
     stats: NormalizationStats
     reference: list               # raw scenes persisted as inference context
-    history: list                 # per-epoch dicts: loss, recon_nll, kl
+    history: list                 # per-epoch dicts: loss, recon_nll, kl, val_nll
     val_nll: list                 # per-epoch validation NLL
     best_epoch: int
 
@@ -77,11 +77,7 @@ class TrainResult:
 def validation_nll(model: GranpModel, val_prepared, ref_prepared) -> float:
     """Deterministic held-out reconstruction NLL per target per step,
     normalized units: z is the context-prior mean (zero noise)."""
-    h_ctx, ego_ctx, _ = model.encode_pairs(ref_prepared)
-    feats = model.pair_features(
-        ego_ctx, np.stack([sc.future for sc in ref_prepared]))
-    r_ctx = model.enc_det.encode(feats)
-    prior = model.latent_path(model.enc_lat.encode(feats))
+    h_ctx, r_ctx, prior = model.encode_context(ref_prepared)
     z = sample_latent(prior, np.zeros(model.config.latent))
     h_t, _, _ = model.encode_pairs(val_prepared)
     r_star = model.deterministic_path(h_t, h_ctx, r_ctx)
@@ -130,13 +126,11 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
             chunk = [prep_train[i] for i in order[start:start + settings.batch_size]]
             if len(chunk) < 3:
                 continue    # tail too small to form an episode
-            ep = make_episode(chunk, rng)
+            batch = make_episode(chunk, rng)
             noise = rng.standard_normal(config.latent)
-            model.zero_grads()
             with Tape() as tape:
                 try:
-                    loss, diag = model.elbo_loss(
-                        PreparedBatch(scenes=ep.scenes, m=ep.m), noise)
+                    loss, diag = model.elbo_loss(batch, noise)
                 except NumericError as err:
                     # Divergence can surface as non-finite sigmas inside the
                     # forward pass before a loss value exists.
@@ -150,9 +144,10 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
             sums += (loss.item(), diag["recon_nll"], diag["kl"])
             batches += 1
         avg = sums / max(batches, 1)
-        history.append({"epoch": epoch, "loss": avg[0],
-                        "recon_nll": avg[1], "kl": avg[2]})
         v = validation_nll(model, prep_val, ref_prep)
+        history.append({"epoch": epoch, "loss": float(avg[0]),
+                        "recon_nll": float(avg[1]), "kl": float(avg[2]),
+                        "val_nll": v})
         val_hist.append(v)
         if v < best_val:
             best_val = v
@@ -173,13 +168,16 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
                        best_epoch=best_epoch)
 
 
+HISTORY_COLUMNS = ("epoch", "loss", "recon_nll", "kl", "val_nll")
+
+
 def save_history(history, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "recon_nll", "kl"])
+        writer.writerow(HISTORY_COLUMNS)
         for row in history:
-            writer.writerow([row["epoch"], repr(row["loss"]),
-                             repr(row["recon_nll"]), repr(row["kl"])])
+            writer.writerow([row["epoch"]] + [repr(row[c])
+                                              for c in HISTORY_COLUMNS[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,6 @@ class EvalReport:
     rmse_m: dict                  # "1s".."5s" -> meters
     nll_nats: dict
     n_scenes: int
-    config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({"rmse_m": self.rmse_m, "nll_nats": self.nll_nats,
@@ -209,8 +206,7 @@ def _horizon_steps(t_f: int):
     return steps
 
 
-def metrics_from_predictions(predictions, futures_m, t_f: int,
-                             config: dict | None = None) -> EvalReport:
+def metrics_from_predictions(predictions, futures_m, t_f: int) -> EvalReport:
     """Per-horizon RMSE of the pooled mean and NLL of the truth under the
     pooled per-axis Gaussians, both in meters."""
     steps = _horizon_steps(t_f)
@@ -222,8 +218,7 @@ def metrics_from_predictions(predictions, futures_m, t_f: int,
            + np.square(truth - mean) / (2.0 * np.square(sd))).sum(axis=2)
     rmse = {k: float(np.sqrt(err2[:, i].mean())) for k, i in steps.items()}
     nlls = {k: float(nll[:, i].mean()) for k, i in steps.items()}
-    return EvalReport(rmse_m=rmse, nll_nats=nlls, n_scenes=len(predictions),
-                      config=config or {})
+    return EvalReport(rmse_m=rmse, nll_nats=nlls, n_scenes=len(predictions))
 
 
 def evaluate(model: GranpModel, scenes, stats, reference, samples: int = 30,
@@ -234,9 +229,8 @@ def evaluate(model: GranpModel, scenes, stats, reference, samples: int = 30,
     targets = [prepare_scene(s, stats) for s in scenes]
     context = [prepare_scene(s, stats) for s in reference]
     preds = model.predict(targets, context, stats, samples=samples, seed=seed)
-    return metrics_from_predictions(
-        preds, [s.future for s in scenes], model.config.t_f,
-        config=asdict(model.config))
+    return metrics_from_predictions(preds, [s.future for s in scenes],
+                                    model.config.t_f)
 
 
 def cv_baseline(scene, t_f: int = 25) -> PredictiveDistribution:
@@ -266,8 +260,7 @@ def baseline_report(scenes, kind: str = "cv", t_f: int = 25) -> EvalReport:
     if kind not in fns:
         raise DataError(f"unknown baseline {kind!r}")
     preds = [fns[kind](s, t_f) for s in scenes]
-    return metrics_from_predictions(preds, [s.future for s in scenes], t_f,
-                                    config={"baseline": kind})
+    return metrics_from_predictions(preds, [s.future for s in scenes], t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,6 @@ def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
         "config": asdict(model.config),
         "normalization": {"mean": stats.mean.tolist(),
                           "std": stats.std.tolist()},
-        "reference_context_ids": [int(sc.ego) for sc in reference_scenes],
         "reference_context": scenes_to_doc(reference_scenes),
         "parameters": entries,
     }
@@ -315,6 +307,8 @@ def load_checkpoint(dir_path):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"{manifest_path}: unreadable manifest ({e})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"{manifest_path}: version {manifest.get('version')}"
                           f", expected {CHECKPOINT_VERSION}")
@@ -323,6 +317,10 @@ def load_checkpoint(dir_path):
         if precision not in _PARAM_DTYPES:
             raise FormatError(f"{manifest_path}: unknown precision "
                               f"{precision!r}")
+        if precision == "f64" and ad.get_precision() == "f32":
+            raise FormatError(f"{manifest_path}: an f64 checkpoint loses "
+                              f"precision in an f32 process; load it under "
+                              f"f64 (GRANP_PRECISION=f64)")
         dt = _PARAM_DTYPES[precision]
         config = ModelConfig(**manifest["config"])
         model = GranpModel(config, seed=0)
@@ -331,7 +329,8 @@ def load_checkpoint(dir_path):
         if len(entries) != len(params):
             raise FormatError(f"{manifest_path}: {len(entries)} parameters, "
                               f"model has {len(params)}")
-        with open(os.path.join(dir_path, "params.bin"), "rb") as fh:
+        params_path = os.path.join(dir_path, "params.bin")
+        with open(params_path, "rb") as fh:
             blob = fh.read()
         offset = 0
         for p, entry in zip(params, entries):
@@ -350,13 +349,23 @@ def load_checkpoint(dir_path):
                                   f"{end} bytes, have {len(blob)}")
             p.data = np.frombuffer(blob, dtype=dt, count=count,
                                    offset=offset).reshape(shape)
+            if not np.isfinite(p.data).all():
+                raise FormatError(f"{params_path}: parameter {p.name!r} is "
+                                  f"not finite")
             offset = end
         if offset != len(blob):
             raise FormatError(
                 f"params.bin has {len(blob) - offset} trailing bytes")
-        norm = manifest["normalization"]
-        stats = NormalizationStats(mean=np.array(norm["mean"]),
-                                   std=np.array(norm["std"]))
+        norm = {k: np.array(manifest["normalization"][k])
+                for k in ("mean", "std")}
+        for k, v in norm.items():
+            if v.shape != (STATE_FEATURES,) or not np.isfinite(v).all():
+                raise FormatError(f"{manifest_path}: normalization {k} is "
+                                  f"not {STATE_FEATURES} finite values")
+        if (norm["std"] <= 0).any():
+            raise FormatError(f"{manifest_path}: normalization std is not "
+                              f"positive")
+        stats = NormalizationStats(**norm)
         reference = scenes_from_doc(manifest["reference_context"],
                                     where=manifest_path)
     except (KeyError, TypeError, ValueError, OSError) as e:

@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import grad_check
-from .model import GranpModel, ModelConfig, PreparedBatch, PreparedScene
+from .data import PreparedBatch
+from .model import GranpModel, ModelConfig, PreparedScene
 from .scene_graph import build_adjacency
 
 GRAD_TOLERANCE = 1e-4
@@ -107,8 +108,7 @@ def _elbo_case():
         future = rng.normal(size=(cfg.t_f, 2))
         scenes.append(PreparedScene(
             ids=(0,), states=rng.normal(size=(cfg.t_n, 1, 4)),
-            adjacency=adj.matrix, future=future,
-            future_m=future * 2.0 + 1.0))
+            adjacency=adj.matrix, future=future))
     batch = PreparedBatch(scenes=scenes, m=1)
     model = GranpModel(cfg, seed=0)
     prng = np.random.default_rng(24)

@@ -95,7 +95,7 @@ def test_train_writes_checkpoint_and_history(pipeline):
     assert (ckpt / "manifest.json").exists()
     assert (ckpt / "params.bin").exists()
     lines = (ckpt / "history.csv").read_text().strip().splitlines()
-    assert lines[0] == "epoch,loss,recon_nll,kl"
+    assert lines[0] == "epoch,loss,recon_nll,kl,val_nll"
     assert len(lines) == 3    # header + 2 epochs
 
 
@@ -178,6 +178,24 @@ def test_predict_scene_out_of_range_is_usage_error(pipeline, tmp_path,
     data, ckpt = pipeline
     assert _run_predict(data, ckpt, tmp_path / "p.json", scene=index) == 2
     assert "scene index" in capsys.readouterr().err
+
+
+def test_predict_malformed_archive_is_data_error(pipeline, tmp_path, capsys):
+    _, ckpt = pipeline
+    (tmp_path / "scenes.json").write_text(
+        '{"rate_hz":5,"scenes":[{"ego":0,"history":[1],"future":[]}]}')
+    assert _run_predict(tmp_path, ckpt, tmp_path / "p.json", scene=0) == 3
+    assert "history is not an object" in capsys.readouterr().err
+
+
+def test_predict_manifest_not_an_object_is_data_error(pipeline, tmp_path,
+                                                       capsys):
+    data, _ = pipeline
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_text("[]")
+    assert _run_predict(data, bad, tmp_path / "p.json") == 3
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 # -- attention -----------------------------------------------------------------

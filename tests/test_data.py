@@ -1,6 +1,8 @@
 """Data pipeline checks: CSV ingestion, windowing arithmetic, z-score
 round-trips, episode splits, synthetic kinematics, archives."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_ingest_non_numeric_names_row(tmp_path):
         "1,1,abc,0,0,0,0,0,1",
     ])
     with pytest.raises(FormatError, match="row 2"):
+        data.ingest_tracks(p)
+
+
+@pytest.mark.parametrize("value,column", [("nan", 2), ("inf", 5), ("-inf", 7)])
+def test_ingest_non_finite_names_file_and_field(tmp_path, value, column):
+    row = ["1", "1", "0", "0", "0", "0", "0", "0", "1"]
+    row[column] = value
+    p = _write_csv(tmp_path / "t.csv", ["0,1,0,0,0,0,0,0,1", ",".join(row)])
+    name = HEADER.split(",")[column]
+    with pytest.raises(FormatError, match=f"t.csv: non-finite {name} in row 2"):
         data.ingest_tracks(p)
 
 
@@ -153,8 +165,7 @@ def _toy_scenes(seed=0, count=4):
 def test_zscore_fit_apply_statistics():
     scenes = _toy_scenes()
     stats = data.NormalizationStats.fit(scenes)
-    normed = data.normalize_scenes(scenes, stats)
-    states = np.concatenate([h for sc in normed
+    states = np.concatenate([stats.apply_states(h) for sc in scenes
                              for h in sc.history.values()], axis=0)
     np.testing.assert_allclose(states.mean(axis=0), 0.0, atol=1e-6)
     np.testing.assert_allclose(states.std(axis=0), 1.0, atol=1e-6)
@@ -178,18 +189,12 @@ def test_zscore_constant_feature_guard():
               for _ in range(3)]
     stats = data.NormalizationStats.fit(scenes)
     assert stats.std[0] == 1.0  # constant x: guard replaces ~0 std
-    normed = data.normalize_scenes(scenes, stats)
-    np.testing.assert_array_equal(normed[0].history[1][:, 0], 0.0)
+    np.testing.assert_array_equal(stats.apply_states(h)[:, 0], 0.0)
 
 
 def test_fit_needs_two_scenes():
     with pytest.raises(DataError):
         data.NormalizationStats.fit(_toy_scenes(count=2)[:1])
-
-
-def test_apply_before_fit_rejected():
-    with pytest.raises(DataError):
-        data.normalize_scenes(_toy_scenes(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +203,8 @@ def test_apply_before_fit_rejected():
 def test_make_episode_structure():
     scenes = _toy_scenes(2, count=8)
     ep = data.make_episode(scenes, 0)
-    assert len(ep.target) == 8 and 3 <= ep.m <= 8
-    assert ep.context == ep.target[:ep.m]
+    assert len(ep.scenes) == 8 and 3 <= ep.m <= 8
+    assert ep.context == ep.scenes[:ep.m]
 
 
 def test_make_episode_deterministic():
@@ -212,12 +217,18 @@ def test_make_episode_deterministic():
 def test_make_episode_n3_forces_context_equals_target():
     scenes = _toy_scenes(4, count=3)
     ep = data.make_episode(scenes, 0)
-    assert ep.m == 3 and ep.context == ep.target
+    assert ep.m == 3 and ep.context == ep.scenes
 
 
 def test_make_episode_too_small():
     with pytest.raises(DataError):
         data.make_episode(_toy_scenes(count=3)[:2], 0)
+
+
+@pytest.mark.parametrize("m", [0, 4])
+def test_prepared_batch_rejects_context_outside_batch(m):
+    with pytest.raises(DataError, match="context size"):
+        data.PreparedBatch(scenes=[object()] * 3, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -313,4 +324,26 @@ def test_archive_rejects_ragged_history(tmp_path):
     p.write_text('{"rate_hz":5,"scenes":[{"ego":0,'
                  '"history":{"0":[[1,2],[3]]},"future":[]}]}')
     with pytest.raises(FormatError, match="malformed"):
+        data.load_scenes(p)
+
+
+def test_archive_rejects_history_that_is_not_an_object(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"rate_hz":5,"scenes":[{"ego":0,"history":[1],'
+                 '"future":[]}]}')
+    with pytest.raises(FormatError, match="scene 0 history is not an object"):
+        data.load_scenes(p)
+
+
+@pytest.mark.parametrize("field", ["future", "history"])
+def test_archive_rejects_non_finite_values(tmp_path, field):
+    doc = data.scenes_to_doc(_toy_scenes(5, count=2))
+    entry = doc["scenes"][1]
+    if field == "future":
+        entry["future"][3][0] = float("nan")
+    else:
+        entry["history"][str(entry["ego"])][0][2] = float("inf")
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))     # json writes NaN and Infinity
+    with pytest.raises(FormatError, match=f"bad.json: scene 1 {field}"):
         data.load_scenes(p)

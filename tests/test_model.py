@@ -9,6 +9,7 @@ from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          LatentDistribution, ModelConfig, PreparedBatch,
                          PreparedScene, kl_diag, prepare_scene, sample_latent)
 from granp.scene_graph import build_adjacency
+from granp.training import validation_nll
 
 
 def _dist(mu, sigma):
@@ -32,8 +33,7 @@ def _micro_scene(rng, cfg, n):
     adj = build_adjacency(ids, pos)
     future = rng.normal(size=(cfg.t_f, 2))
     return PreparedScene(ids=ids, states=rng.normal(size=(cfg.t_n, n, 4)),
-                         adjacency=adj.matrix, future=future,
-                         future_m=future * 2.0 + 1.0)
+                         adjacency=adj.matrix, future=future)
 
 
 def _micro_batch(seed=0, sizes=(3, 2), m=1):
@@ -276,7 +276,6 @@ def test_elbo_gradients_reach_every_parameter(f64):
     cfg, batch = _micro_batch(seed=5, sizes=(2, 2, 2), m=2)
     model = GranpModel(cfg, seed=0)
     noise = np.random.default_rng(7).standard_normal(cfg.latent)
-    model.zero_grads()
     with Tape() as tape:
         loss, _ = model.elbo_loss(batch, noise)
     grads = backward(tape, loss, model.parameters())
@@ -318,7 +317,7 @@ def test_predict_interval_arithmetic(f64):
     target = PreparedScene(ids=batch.scenes[0].ids,
                            states=batch.scenes[0].states,
                            adjacency=batch.scenes[0].adjacency,
-                           future=None, future_m=None)
+                           future=None)
     (pred,) = model.predict([target], batch.scenes, stats, samples=4, seed=0)
     assert pred.mean.shape == (cfg.t_f, 2)
     assert pred.samples.shape == (4, cfg.t_f, 2)
@@ -387,6 +386,34 @@ def test_predict_handles_ego_only_scene(f64):
     assert np.isfinite(pred.mean).all()
 
 
+def _record_encodes(model, monkeypatch):
+    """Log encode_context calls and the batch size of each encode_pairs."""
+    calls = []
+    ctx, pairs = model.encode_context, model.encode_pairs
+    monkeypatch.setattr(model, "encode_context",
+                        lambda c: calls.append("context") or ctx(c))
+    monkeypatch.setattr(model, "encode_pairs",
+                        lambda sc: calls.append(len(sc)) or pairs(sc))
+    return calls
+
+
+def test_predict_encodes_context_once_via_encode_context(monkeypatch):
+    cfg, batch = _micro_batch(seed=4, sizes=(3, 2, 2), m=3)
+    model = GranpModel(cfg, seed=3)
+    calls = _record_encodes(model, monkeypatch)
+    model.predict(batch.scenes[:2], batch.scenes, _flat_stats(), samples=3,
+                  chunk_size=1)
+    assert calls == ["context", 3, 1, 1]
+
+
+def test_validation_nll_encodes_context_once_via_encode_context(monkeypatch):
+    cfg, batch = _micro_batch(seed=4, sizes=(3, 2, 2), m=3)
+    model = GranpModel(cfg, seed=3)
+    calls = _record_encodes(model, monkeypatch)
+    validation_nll(model, batch.scenes[:1], batch.scenes)
+    assert calls == ["context", 3, 1]
+
+
 def test_predict_argument_validation():
     cfg, batch = _micro_batch(seed=2)
     model = GranpModel(cfg, seed=3)
@@ -401,7 +428,7 @@ def test_predict_argument_validation():
     headless = PreparedScene(ids=batch.scenes[0].ids,
                              states=batch.scenes[0].states,
                              adjacency=batch.scenes[0].adjacency,
-                             future=None, future_m=None)
+                             future=None)
     with pytest.raises(DataError, match="futures"):
         model.predict(batch.scenes, [headless], stats, samples=1)
 
@@ -420,7 +447,6 @@ def test_prepare_scene_orders_and_normalizes():
     np.testing.assert_allclose(prep.states[:, 0],
                                stats.apply_states(scene.history[scene.ego]))
     np.testing.assert_allclose(prep.future, stats.apply_xy(scene.future))
-    np.testing.assert_array_equal(prep.future_m, scene.future)
     np.testing.assert_allclose(np.diag(prep.adjacency), 1.0)
     np.testing.assert_array_equal(prep.adjacency, prep.adjacency.T)
 

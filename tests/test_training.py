@@ -97,6 +97,7 @@ def test_train_smoke_produces_history_and_best_epoch():
     assert result.best_epoch in (1, 2)
     assert len(result.reference) == 4
     assert all(np.isfinite(row["loss"]) for row in result.history)
+    assert [row["val_nll"] for row in result.history] == result.val_nll
     for p in result.model.parameters():
         assert np.isfinite(p.data).all()
 
@@ -150,7 +151,6 @@ def test_validation_nll_is_deterministic():
     b = validation_nll(model, prep[:2], prep[2:])
     assert a == b
     assert np.isfinite(a)
-
 
 def test_patience_stops_training_early():
     scenes = synth_scenes(10, seed=0, mix=0.5)
@@ -294,6 +294,72 @@ def test_checkpoint_f64_roundtrip_is_bit_identical(tmp_path, f64):
     assert len(blob) == 8 * sum(p.data.size for p in model.parameters())
 
 
+def test_checkpoint_f64_in_f32_process_is_rejected(tmp_path):
+    with ad.precision("f64"):
+        model, stats, reference = _roundtrip_setup()
+        save_checkpoint(tmp_path, model, stats, reference)
+    with pytest.raises(FormatError, match="f64 checkpoint"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_f32_loads_losslessly_under_f64(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    with ad.precision("f64"):
+        loaded, _, _ = load_checkpoint(tmp_path)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert q.data.dtype == np.float64
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_checkpoint_ignores_legacy_reference_context_ids(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    path = os.path.join(tmp_path, "manifest.json")
+    manifest = json.load(open(path))
+    assert "reference_context_ids" not in manifest
+    manifest["reference_context_ids"] = [int(sc.ego) for sc in reference]
+    json.dump(manifest, open(path, "w"))
+    _, _, lref = load_checkpoint(tmp_path)
+    assert len(lref) == len(reference)
+
+
+def test_checkpoint_rejects_manifest_that_is_not_an_object(tmp_path):
+    with open(os.path.join(tmp_path, "manifest.json"), "w") as fh:
+        fh.write("[]")
+    with pytest.raises(FormatError, match="not a JSON object"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_non_finite_parameter(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    blob_path = os.path.join(tmp_path, "params.bin")
+    blob = bytearray(open(blob_path, "rb").read())
+    blob[:4] = np.array([np.nan], dtype="<f4").tobytes()
+    open(blob_path, "wb").write(bytes(blob))
+    name = model.parameters()[0].name
+    with pytest.raises(FormatError, match=f"params.bin: parameter '{name}'"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("key,values", [
+    ("mean", [0.0, float("inf"), 0.0, 0.0]),
+    ("std", [1.0, float("nan"), 1.0, 1.0]),
+    ("mean", [0.0, 0.0, 0.0]),
+    ("std", [1.0, 0.0, 1.0, 1.0]),
+])
+def test_checkpoint_rejects_bad_normalization(tmp_path, key, values):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    path = os.path.join(tmp_path, "manifest.json")
+    manifest = json.load(open(path))
+    manifest["normalization"][key] = values
+    json.dump(manifest, open(path, "w"))
+    with pytest.raises(FormatError, match=f"manifest.json: normalization {key}"):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_rejects_unknown_precision(tmp_path):
     model, stats, reference = _roundtrip_setup()
     save_checkpoint(tmp_path, model, stats, reference)
@@ -381,13 +447,27 @@ def test_checkpoint_rejects_missing_normalization(tmp_path):
 
 
 def test_save_history_csv_roundtrip(tmp_path):
-    history = [{"epoch": 1, "loss": 2.5, "recon_nll": 2.0, "kl": 3.0},
-               {"epoch": 2, "loss": 1.25, "recon_nll": 1.0, "kl": 1.5}]
+    history = [{"epoch": 1, "loss": 2.5, "recon_nll": 2.0, "kl": 3.0,
+                "val_nll": 2.75},
+               {"epoch": 2, "loss": 1.25, "recon_nll": 1.0, "kl": 1.5,
+                "val_nll": 0.5}]
     path = tmp_path / "loss.csv"
     save_history(history, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["epoch", "loss", "recon_nll", "kl"]
+    assert rows[0] == ["epoch", "loss", "recon_nll", "kl", "val_nll"]
     assert len(rows) == 3
     assert float(rows[1][1]) == 2.5
+    assert float(rows[1][4]) == 2.75
     assert int(rows[2][0]) == 2
+
+
+def test_trained_history_csv_holds_plain_numbers(tmp_path):
+    result = train(synth_scenes(10, seed=0, mix=0.5), _tiny_config(),
+                   TrainSettings(epochs=1, batch_size=8, reference_size=4),
+                   seed=1)
+    save_history(result.history, tmp_path / "history.csv")
+    with open(tmp_path / "history.csv", newline="") as fh:
+        (_, row) = list(csv.reader(fh))
+    assert [float(v) for v in row[1:]] == [
+        result.history[0][c] for c in ("loss", "recon_nll", "kl", "val_nll")]
