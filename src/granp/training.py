@@ -2,6 +2,7 @@
 RMSE/NLL evaluation, and kinematic baselines."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -63,6 +64,23 @@ class TrainSettings:
     reference_size: int = 64
     patience: int = 0       # epochs without val improvement; 0 disables
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 3:
+            raise DataError(f"batch size must be >= 3 (an episode needs a "
+                            f"context and targets), got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 < self.val_fraction < 1:
+            raise DataError(f"val_fraction must be in (0, 1), got "
+                            f"{self.val_fraction}")
+        if self.reference_size < 1:
+            raise DataError(f"reference_size must be >= 1, got "
+                            f"{self.reference_size}")
+        if self.patience < 0:
+            raise DataError(f"patience must be >= 0, got {self.patience}")
+
 
 @dataclass
 class TrainResult:
@@ -91,8 +109,6 @@ def validation_nll(model: GranpModel, val_prepared, ref_prepared) -> float:
 def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> TrainResult:
     """Seeded 90/10 split, per-epoch episode batches, Adam on the ELBO;
     keeps the parameters of the best validation epoch."""
-    if settings.epochs < 1:
-        raise DataError(f"epochs must be >= 1, got {settings.epochs}")
     n = len(scenes)
     rng = np.random.default_rng(seed)
     n_val = max(1, int(round(settings.val_fraction * n)))
@@ -269,7 +285,8 @@ def baseline_report(scenes, kind: str = "cv", t_f: int = 25) -> EvalReport:
 def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
                     reference_scenes):
     """manifest.json + params.bin (little-endian, manifest order), stored in
-    the run's precision: float32 for f32, float64 for f64."""
+    the run's precision: float32 for f32, float64 for f64.  Each file is
+    replaced atomically and the manifest records params.bin's SHA-256."""
     os.makedirs(dir_path, exist_ok=True)
     precision = ad.get_precision()
     dt = _PARAM_DTYPES[precision]
@@ -282,6 +299,7 @@ def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
                         "offset": offset})
         blobs.append(raw)
         offset += len(raw)
+    params_blob = b"".join(blobs)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "precision": precision,
@@ -290,13 +308,31 @@ def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
                           "std": stats.std.tolist()},
         "reference_context": scenes_to_doc(reference_scenes),
         "parameters": entries,
+        "params_sha256": hashlib.sha256(params_blob).hexdigest(),
     }
-    with open(os.path.join(dir_path, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-    with open(os.path.join(dir_path, "params.bin"), "wb") as fh:
-        fh.write(b"".join(blobs))
+    # params.bin first: until the new manifest lands, the old manifest's
+    # digest refuses the new weights
+    _write_atomic(os.path.join(dir_path, "params.bin"), params_blob)
+    _write_atomic(os.path.join(dir_path, "manifest.json"),
+                  json.dumps(manifest, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8"))
     return dir_path
+
+
+def _write_atomic(path, data: bytes):
+    """Write through a temporary file in the same directory, then rename it
+    over path, so a reader sees the old file or the new one, never a part."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(dir_path):
@@ -356,6 +392,12 @@ def load_checkpoint(dir_path):
         if offset != len(blob):
             raise FormatError(
                 f"params.bin has {len(blob) - offset} trailing bytes")
+        # absent in checkpoints written before the digest was recorded
+        digest = manifest.get("params_sha256")
+        if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+            raise FormatError(f"{params_path}: SHA-256 does not match the "
+                              f"manifest's params_sha256; params.bin is "
+                              f"from another save")
         norm = {k: np.array(manifest["normalization"][k])
                 for k in ("mean", "std")}
         for k, v in norm.items():

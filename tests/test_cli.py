@@ -99,6 +99,21 @@ def test_train_writes_checkpoint_and_history(pipeline):
     assert len(lines) == 3    # header + 2 epochs
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--batch", "0"), ("--batch", "-4"), ("--lr", "-1"), ("--lr", "nan"),
+])
+def test_train_bad_setting_is_data_error(tmp_path, capsys, flag, value):
+    data = tmp_path / "data"
+    assert run_cli(["synth", "--scenes", "12", "--seed", "0",
+                    "--out", str(data)]) == 0
+    code = run_cli(["train", "--data", str(data), "--out",
+                    str(tmp_path / "c"), "--epochs", "1", flag, value])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_train_missing_data_is_data_error(tmp_path, capsys):
     code = run_cli(["train", "--data", str(tmp_path / "absent"),
                     "--out", str(tmp_path / "c")])

@@ -406,6 +406,147 @@ def test_predict_encodes_context_once_via_encode_context(monkeypatch):
     assert calls == ["context", 3, 1, 1]
 
 
+def _copy_scene(sc):
+    return PreparedScene(ids=sc.ids, states=sc.states.copy(),
+                         adjacency=sc.adjacency.copy(),
+                         future=sc.future.copy())
+
+
+def test_predict_reuses_encoded_context_for_equal_context(monkeypatch):
+    cfg, batch = _micro_batch(seed=4, sizes=(3, 2, 2), m=3)
+    model = GranpModel(cfg, seed=3)
+    calls = _record_encodes(model, monkeypatch)
+    first = model.predict(batch.scenes[:1], batch.scenes, _flat_stats(),
+                          samples=3)
+    calls.clear()
+    again = model.predict(batch.scenes[:1],
+                          [_copy_scene(sc) for sc in batch.scenes],
+                          _flat_stats(), samples=3)
+    assert calls == ["context", 1]
+    assert again[0].samples.tobytes() == first[0].samples.tobytes()
+
+
+def _encoded_bytes(encoded):
+    h_ctx, r_ctx, prior = encoded
+    return [t.data.tobytes() for t in (h_ctx, r_ctx, prior.mu, prior.sigma)]
+
+
+def test_encode_context_hit_matches_miss_byte_for_byte():
+    cfg, batch = _micro_batch(seed=5, sizes=(3, 2, 4), m=3)
+    model = GranpModel(cfg, seed=3)
+    miss = _encoded_bytes(model.encode_context(batch.scenes))
+    hit = model.encode_context([_copy_scene(sc) for sc in batch.scenes])
+    assert _encoded_bytes(hit) == miss
+    assert _encoded_bytes(GranpModel(cfg, seed=3).encode_context(
+        batch.scenes)) == miss
+    for t in (hit[0], hit[1], hit[2].mu, hit[2].sigma):
+        with pytest.raises(ValueError):
+            t.data.reshape(-1)[0] = 0.0
+
+
+def _edit_param_in_place(model, ctx):
+    model.parameters()[0].data.reshape(-1)[0] += 1.0
+    return ctx
+
+
+def _assign_param(model, ctx):
+    p = model.parameters()[-1]
+    p.data = p.data + 0.5
+    return ctx
+
+
+def _edit_states_in_place(model, ctx):
+    ctx[1].states[0, 0, 0] += 1.0
+    return ctx
+
+
+def _edit_future_in_place(model, ctx):
+    ctx[2].future[-1, 1] += 1.0
+    return ctx
+
+
+@pytest.mark.parametrize("change", [
+    _edit_param_in_place, _assign_param, _edit_states_in_place,
+    _edit_future_in_place, lambda model, ctx: ctx[:-1],
+    lambda model, ctx: ctx[::-1],
+], ids=["param-in-place", "param-assigned", "states-in-place",
+        "future-in-place", "shorter-context", "reordered-context"])
+def test_encode_context_misses_after_a_change(monkeypatch, change):
+    cfg, batch = _micro_batch(seed=6, sizes=(3, 2, 4), m=3)
+    model = GranpModel(cfg, seed=3)
+    ctx = [_copy_scene(sc) for sc in batch.scenes]
+    model.encode_context(ctx)
+    ctx = change(model, ctx)
+    calls = _record_encodes(model, monkeypatch)
+    encoded = model.encode_context(ctx)
+    assert calls == ["context", len(ctx)]
+    monkeypatch.undo()
+    assert _encoded_bytes(encoded) == _encoded_bytes(
+        model._encode_context(ctx))
+
+
+def test_encode_context_misses_after_a_precision_switch(monkeypatch):
+    cfg, batch = _micro_batch(seed=6, sizes=(3, 2), m=2)
+    model = GranpModel(cfg, seed=3)
+    model.encode_context(batch.scenes)
+    calls = _record_encodes(model, monkeypatch)
+    with ad.precision("f64"):
+        h_ctx, _, _ = model.encode_context(batch.scenes)
+    assert calls == ["context", 2]
+    assert h_ctx.data.dtype == np.float64
+    assert model.encode_context(batch.scenes)[0].data.dtype == np.float32
+
+
+def test_encode_context_under_a_tape_reaches_encoder_parameters(f64):
+    cfg, batch = _micro_batch(seed=7, sizes=(3, 2, 2), m=3)
+    model = GranpModel(cfg, seed=3)
+    model.encode_context(batch.scenes)      # fill the memo first
+    with Tape() as tape:
+        h_ctx, r_ctx, prior = model.encode_context(batch.scenes)
+        total = h_ctx.sum() + r_ctx.sum() + prior.mu.sum() + prior.sigma.sum()
+    grads = backward(tape, total, model.parameters())
+    for prefix in ("embed", "gat0", "gat1", "lstm", "interp", "det", "lat",
+                   "latent"):
+        reached = [n for n, g in grads.items()
+                   if n.startswith(prefix) and np.abs(g).max() > 0]
+        assert reached, prefix
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n_draws", [1, 5])
+def test_predict_one_pass_decode_matches_per_draw_decode(f64, monkeypatch,
+                                                         k, n_draws):
+    rng = np.random.default_rng(20 + k + n_draws)
+    cfg = _micro_config()
+    context = [_micro_scene(rng, cfg, n) for n in (2, 3, 1)]
+    targets = [_micro_scene(rng, cfg, int(n))
+               for n in rng.integers(1, 5, size=k)]
+    model = GranpModel(cfg, seed=3)
+    noise = rng.standard_normal((n_draws, cfg.latent))
+
+    h_ctx, r_ctx, prior = model.encode_context(context)
+    h_t, _, _ = model.encode_pairs(targets)
+    r_star = model.deterministic_path(h_t, h_ctx, r_ctx)
+    draws = [model.decode(h_t, r_star, sample_latent(prior, eps))
+             for eps in noise]
+    mus = np.stack([mu.data for mu, _ in draws])
+    sig2 = sum(np.square(sigma.data) for _, sigma in draws)
+    mean = mus.mean(axis=0)
+    std = np.sqrt(sig2 / n_draws + mus.var(axis=0))
+
+    decodes = []
+    decode = model.decode
+    monkeypatch.setattr(model, "decode",
+                        lambda *a: decodes.append(a[0].shape) or decode(*a))
+    preds = model.predict(targets, context, _flat_stats(), noise=noise)
+    assert decodes == [(n_draws * k, cfg.hidden)]
+    for j, pred in enumerate(preds):
+        np.testing.assert_allclose(pred.samples, mus[:, j], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(pred.mean, mean[j], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.std, std[j], rtol=0, atol=1e-12)
+
+
 def test_validation_nll_encodes_context_once_via_encode_context(monkeypatch):
     cfg, batch = _micro_batch(seed=4, sizes=(3, 2, 2), m=3)
     model = GranpModel(cfg, seed=3)

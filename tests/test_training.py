@@ -142,6 +142,25 @@ def test_train_rejects_bad_sizes():
               TrainSettings(epochs=0), seed=0)
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("batch_size", 0, "batch size"),
+    ("batch_size", -4, "batch size"),
+    ("batch_size", 2, "batch size"),
+    ("lr", -1.0, "lr"),
+    ("lr", 0.0, "lr"),
+    ("lr", float("nan"), "lr"),
+    ("lr", float("inf"), "lr"),
+    ("val_fraction", 0.0, "val_fraction"),
+    ("val_fraction", 1.0, "val_fraction"),
+    ("val_fraction", float("nan"), "val_fraction"),
+    ("reference_size", 0, "reference_size"),
+    ("patience", -1, "patience"),
+])
+def test_train_settings_reject_bad_values(field, value, match):
+    with pytest.raises(DataError, match=match):
+        TrainSettings(**{field: value})
+
+
 def test_validation_nll_is_deterministic():
     scenes = synth_scenes(6, seed=2, mix=0.5)
     stats = NormalizationStats.fit(scenes)
@@ -154,9 +173,10 @@ def test_validation_nll_is_deterministic():
 
 def test_patience_stops_training_early():
     scenes = synth_scenes(10, seed=0, mix=0.5)
-    # lr 0 freezes the parameters, so validation NLL never improves after
-    # the first epoch and patience=2 must stop the loop at epoch 3
-    settings = TrainSettings(epochs=50, batch_size=8, lr=0.0,
+    # an lr of 1e-30 is below float32 resolution at these weights, so it
+    # freezes them: validation NLL never improves after the first epoch
+    # and patience=2 must stop the loop at epoch 3
+    settings = TrainSettings(epochs=50, batch_size=8, lr=1e-30,
                              reference_size=4, patience=2)
     result = train(scenes, _tiny_config(), settings, seed=1)
     assert len(result.history) == 3
@@ -444,6 +464,56 @@ def test_checkpoint_rejects_missing_normalization(tmp_path):
     json.dump(manifest, open(path, "w"))
     with pytest.raises(FormatError, match="malformed checkpoint"):
         load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_params_from_another_save(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    other = GranpModel(_tiny_config(), seed=9)
+    save_checkpoint(tmp_path / "a", model, stats, reference)
+    save_checkpoint(tmp_path / "b", other, stats, reference)
+    os.replace(tmp_path / "b" / "params.bin", tmp_path / "a" / "params.bin")
+    with pytest.raises(FormatError, match="params_sha256"):
+        load_checkpoint(tmp_path / "a")
+
+
+def test_checkpoint_without_digest_still_loads(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    path = os.path.join(tmp_path, "manifest.json")
+    manifest = json.load(open(path))
+    del manifest["params_sha256"]
+    json.dump(manifest, open(path, "w"))
+    loaded, _, _ = load_checkpoint(tmp_path)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_checkpoint_save_interrupted_before_manifest_fails_closed(
+        tmp_path, monkeypatch):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith("manifest.json"):
+            raise OSError("interrupted")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="interrupted"):
+        save_checkpoint(tmp_path, GranpModel(_tiny_config(), seed=9), stats,
+                        reference)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "params.bin"]
+    with pytest.raises(FormatError, match="params_sha256"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_save_leaves_no_temporary_files(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    save_checkpoint(tmp_path, model, stats, reference)
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "params.bin"]
 
 
 def test_save_history_csv_roundtrip(tmp_path):
