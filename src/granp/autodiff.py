@@ -82,34 +82,34 @@ class Tensor:
 
     # arithmetic sugar; scalars and arrays are lifted to constants
     def __add__(self, other):
-        return add(self, astensor(other))
+        return add(self, constant(other))
 
     def __radd__(self, other):
-        return add(astensor(other), self)
+        return add(constant(other), self)
 
     def __sub__(self, other):
-        return sub(self, astensor(other))
+        return sub(self, constant(other))
 
     def __rsub__(self, other):
-        return sub(astensor(other), self)
+        return sub(constant(other), self)
 
     def __mul__(self, other):
-        return mul(self, astensor(other))
+        return mul(self, constant(other))
 
     def __rmul__(self, other):
-        return mul(astensor(other), self)
+        return mul(constant(other), self)
 
     def __truediv__(self, other):
-        return div(self, astensor(other))
+        return div(self, constant(other))
 
     def __rtruediv__(self, other):
-        return div(astensor(other), self)
+        return div(constant(other), self)
 
     def __matmul__(self, other):
-        return matmul(self, astensor(other))
+        return matmul(self, constant(other))
 
     def __neg__(self):
-        return mul(self, astensor(-1.0))
+        return mul(self, constant(-1.0))
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -127,15 +127,10 @@ class Tensor:
         return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
-def astensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype()))
-
-
 def constant(x) -> Tensor:
-    """Non-trainable tensor in the current precision."""
-    return Tensor(np.asarray(x, dtype=dtype()))
+    """Non-trainable tensor in the current precision; a Tensor passes
+    through unchanged."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Parameter:
@@ -145,7 +140,7 @@ class Parameter:
 
     def __init__(self, name: str, data):
         self.name = name
-        self.tensor = Tensor(np.asarray(data, dtype=dtype()), requires_grad=True)
+        self.tensor = Tensor(data, requires_grad=True)
 
     @property
     def data(self) -> np.ndarray:
@@ -215,48 +210,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(kind: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 # ---------------------------------------------------------------------------
 # Primitives
 
+def _binary(kind: str, fn: Callable, a: Tensor, b: Tensor, bwd: Callable) -> Tensor:
+    """Elementwise ufunc ``fn`` with numpy broadcasting.  ``bwd(g)`` gives
+    both input gradients at the output shape; each is summed back down to
+    its input's shape."""
+    try:
+        out = Tensor(fn(a.data, b.data))
+    except ValueError:
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+    def unbroadcast_bwd(g):
+        ga, gb = bwd(g)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+    return _record(out, (a, b), unbroadcast_bwd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _binary("add", np.add, a, b, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _binary("sub", np.subtract, a, b, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-    out = Tensor(a.data * b.data)
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    return _binary("mul", np.multiply, a, b, lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    out = Tensor(a.data / b.data)
-
-    def bwd(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _record(out, (a, b), bwd)
+    return _binary("div", np.divide, a, b,
+                   lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -323,7 +310,7 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [astensor(t) for t in tensors]
+    tensors = [constant(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat: empty input list")
     try:
@@ -424,9 +411,9 @@ def relu(x: Tensor) -> Tensor:
 LEAKY_SLOPE = 0.2  # canonical negative slope for graph-attention scoring
 
 
-def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    out = Tensor(np.where(x.data > 0, x.data, slope * x.data))
-    return _record(out, (x,), lambda g: (g * np.where(x.data > 0, 1.0, slope),))
+def leaky_relu(x: Tensor) -> Tensor:
+    out = Tensor(np.where(x.data > 0, x.data, LEAKY_SLOPE * x.data))
+    return _record(out, (x,), lambda g: (g * np.where(x.data > 0, 1.0, LEAKY_SLOPE),))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -479,8 +466,10 @@ def backward(tape: Tape, root: Tensor,
     return out
 
 
-def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter],
-               perturbation: float = 1e-5) -> dict[str, float]:
+FD_STEP = 1e-5  # central-difference step of grad_check
+
+
+def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter]) -> dict[str, float]:
     """Compare reverse-mode gradients against central finite differences.
 
     ``fn`` must evaluate a scalar objective from the current values of
@@ -499,7 +488,7 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter],
         raise NumericError("grad_check: objective is not finite")
     analytic = backward(tape, value, params)
 
-    h = perturbation
+    h = FD_STEP
     errors: dict[str, float] = {}
     for p in params:
         flat = p.tensor.data.reshape(-1)

@@ -77,31 +77,34 @@ class TrajectoryScene:
 
 def ingest_tracks(path) -> list:
     """Parse a tracks CSV into RawTrack objects grouped by vehicle id."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if header != CSV_COLUMNS:
-            missing = [c for c in CSV_COLUMNS if c not in header]
-            if missing:
-                raise FormatError(f"{path}: missing column '{missing[0]}'")
-            raise FormatError(f"{path}: header {header} does not match "
-                              f"{CSV_COLUMNS}")
-        rows = {}
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(CSV_COLUMNS):
-                raise FormatError(f"{path}: row {i} has {len(row)} fields")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                frame, vid, lane = int(row[0]), int(row[1]), int(row[8])
-                vals = [float(v) for v in row[2:8]]
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric value in row {i}") from None
-            for col, v in zip(CSV_COLUMNS[2:8], vals):
-                if not math.isfinite(v):
-                    raise FormatError(f"{path}: non-finite {col} in row {i}")
-            rows.setdefault(vid, []).append((frame, *vals, lane))
+                header = tuple(next(reader))
+            except StopIteration:
+                raise FormatError(f"{path}: empty file") from None
+            if header != CSV_COLUMNS:
+                missing = [c for c in CSV_COLUMNS if c not in header]
+                if missing:
+                    raise FormatError(f"{path}: missing column '{missing[0]}'")
+                raise FormatError(f"{path}: header {header} does not match "
+                                  f"{CSV_COLUMNS}")
+            rows = {}
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(CSV_COLUMNS):
+                    raise FormatError(f"{path}: row {i} has {len(row)} fields")
+                try:
+                    frame, vid, lane = int(row[0]), int(row[1]), int(row[8])
+                    vals = [float(v) for v in row[2:8]]
+                except ValueError:
+                    raise FormatError(f"{path}: non-numeric value in row {i}") from None
+                for col, v in zip(CSV_COLUMNS[2:8], vals):
+                    if not math.isfinite(v):
+                        raise FormatError(f"{path}: non-finite {col} in row {i}")
+                rows.setdefault(vid, []).append((frame, *vals, lane))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path}: unreadable CSV ({e})") from None
     tracks = []
     for vid in sorted(rows):
         rec = sorted(rows[vid])
@@ -120,8 +123,9 @@ def resample_and_window(tracks, source_hz: int, ego_ids=None):
     one window.  A neighbor joins a scene only if its track spans the whole
     history window and it sits inside the grid at the last history step.
     """
-    if source_hz % TARGET_HZ != 0:
-        raise DataError(f"source rate {source_hz} not divisible by {TARGET_HZ}")
+    if source_hz <= 0 or source_hz % TARGET_HZ != 0:
+        raise DataError(f"source rate {source_hz} is not a positive multiple "
+                        f"of {TARGET_HZ}")
     step = source_hz // TARGET_HZ
     by_id = {t.vid: t for t in tracks}
     if len(by_id) != len(tracks):
@@ -361,6 +365,7 @@ def load_scenes(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
             raise FormatError(f"{path}: invalid JSON ({e})") from None
     return scenes_from_doc(doc, where=str(path))

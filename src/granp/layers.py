@@ -148,11 +148,10 @@ class GatLayer:
     """
 
     def __init__(self, name: str, in_dim: int, out_dim: int, heads: int,
-                 rng: np.random.Generator, slope: float = ad.LEAKY_SLOPE):
+                 rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.heads = heads
-        self.slope = slope
         self.w = [Parameter(f"{name}.W.h{k}", _uniform(rng, in_dim, (in_dim, out_dim)))
                   for k in range(heads)]
         self.a = [Parameter(f"{name}.a.h{k}", _uniform(rng, 2 * out_dim, (2 * out_dim, 1)))
@@ -163,14 +162,13 @@ class GatLayer:
 
     @staticmethod
     def _mask_of(adjacency) -> np.ndarray:
-        matrix = getattr(adjacency, "matrix", adjacency)
-        matrix = np.asarray(matrix)
+        matrix = np.asarray(adjacency)
         if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
             raise ShapeError(f"gat_forward: adjacency must be square, got {matrix.shape}")
         return (matrix > 0).astype(ad.dtype())
 
     def forward(self, nodes: Tensor, adjacency):
-        """nodes: [n, in_dim]; adjacency: n x n (AdjacencyMatrix or array).
+        """nodes: [n, in_dim]; adjacency: [n, n] array.
 
         Returns ([n, out_dim], attention [heads, n, n]).
         """
@@ -199,7 +197,7 @@ class GatLayer:
             a2 = self.a[k].tensor[d_out:]
             f1 = ad.matmul(wh, a1)                               # [T, ..., n, 1]
             f2 = ad.matmul(wh, a2)
-            scores = ad.leaky_relu(f1 + ad.transpose(f2, swap), self.slope)
+            scores = ad.leaky_relu(f1 + ad.transpose(f2, swap))
             alpha = masked_softmax(scores, mask)                 # [T, ..., n, n]
             attn[k] = alpha.data
             head_out = ad.matmul(alpha, wh)

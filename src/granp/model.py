@@ -28,6 +28,8 @@ LATENT_SIGMA_SPAN = 0.9
 DECODER_SIGMA_MIN = 0.01
 
 STATE_FEATURES = 4      # x, y, s, a
+GAT_LAYERS = 2          # stacked graph-attention layers
+CONV_KERNEL = 3         # temporal kernel of the Conv-MLP encoders
 
 
 @dataclass
@@ -38,11 +40,9 @@ class ModelConfig:
 
     hidden: int = 64
     heads: int = 4
-    gat_layers: int = 2
     latent: int = 0         # 0 -> same as hidden
     t_n: int = T_N
     t_f: int = T_F
-    kernel: int = 3
 
     def __post_init__(self):
         if self.latent == 0:
@@ -52,8 +52,6 @@ class ModelConfig:
         if self.hidden % self.heads != 0:
             raise DataError(f"hidden {self.hidden} not divisible by "
                             f"{self.heads} heads")
-        if self.gat_layers != 2:
-            raise DataError(f"gat_layers is fixed at 2, got {self.gat_layers}")
 
 
 @dataclass
@@ -87,9 +85,20 @@ class PredictiveDistribution:
 
     mean: np.ndarray        # [t_f, 2]
     std: np.ndarray         # [t_f, 2]
-    ci_low: np.ndarray      # [t_f, 2]
-    ci_high: np.ndarray     # [t_f, 2]
     samples: np.ndarray     # [S, t_f, 2] decoded means per latent draw
+
+    @property
+    def ci_low(self) -> np.ndarray:
+        return self.mean - 1.96 * self.std
+
+    @property
+    def ci_high(self) -> np.ndarray:
+        return self.mean + 1.96 * self.std
+
+
+def gaussian_nll(y, mu, sigma) -> np.ndarray:
+    """Elementwise negative log density of y under N(mu, sigma^2)."""
+    return 0.5 * LOG_2PI + np.log(sigma) + np.square(y - mu) / (2.0 * np.square(sigma))
 
 
 def prepare_scene(scene, stats) -> PreparedScene:
@@ -123,13 +132,13 @@ def kl_diag(posterior: LatentDistribution, prior: LatentDistribution) -> Tensor:
 
 
 def sample_latent(dist: LatentDistribution, noise) -> Tensor:
-    """Reparameterized draw z = mu + sigma * noise; gradients reach mu and
-    sigma."""
+    """Reparameterized draws z = mu + sigma * noise, one row per noise row
+    ([latent] or [S, latent]); gradients reach mu and sigma."""
     noise = np.asarray(noise)
-    if noise.size != dist.dim:
-        raise ShapeError(f"sample_latent: noise size {noise.size}, latent "
-                         f"dim {dist.dim}")
-    eps = ad.constant(noise.reshape(1, dist.dim))
+    if noise.ndim not in (1, 2) or noise.shape[-1] != dist.dim:
+        raise ShapeError(f"sample_latent: noise {noise.shape}, expected "
+                         f"[{dist.dim}] or [S, {dist.dim}]")
+    eps = ad.constant(noise.reshape(-1, dist.dim))
     return dist.mu + dist.sigma * eps
 
 
@@ -141,11 +150,11 @@ class GranpModel:
         d, lat = config.hidden, config.latent
         self.embed = MlpBlock("embed", [STATE_FEATURES, d], rng)
         self.gat = [GatLayer(f"gat{i}", d, d, config.heads, rng)
-                    for i in range(config.gat_layers)]
+                    for i in range(GAT_LAYERS)]
         self.lstm = LstmEncoder("lstm", d, d, rng)
         self.interp = MlpBlock("interp", [config.t_f, config.t_n], rng)
-        self.enc_det = ConvMlpEncoder("det", d + 2, d, d, config.kernel, rng)
-        self.enc_lat = ConvMlpEncoder("lat", d + 2, d, d, config.kernel, rng)
+        self.enc_det = ConvMlpEncoder("det", d + 2, d, d, CONV_KERNEL, rng)
+        self.enc_lat = ConvMlpEncoder("lat", d + 2, d, d, CONV_KERNEL, rng)
         self.latent_mlp = MlpBlock("latent", [d, d, 2 * lat], rng)
         self.cross = CrossAttention("cross", d, config.heads, rng)
         self.decoder = MlpBlock(
@@ -213,10 +222,6 @@ class GranpModel:
         return ad.concat([chan, y_matched], axis=1)
 
     # -- paths ---------------------------------------------------------------
-
-    def deterministic_path(self, h_target: Tensor, h_context: Tensor,
-                           r_context: Tensor) -> Tensor:
-        return self.cross.attend(h_target, h_context, r_context)
 
     def latent_path(self, s: Tensor) -> LatentDistribution:
         """Mean-pool pair representations, then map to (mu, sigma)."""
@@ -307,7 +312,7 @@ class GranpModel:
         prior = self.latent_path(s_all[:m])
         posterior = self.latent_path(s_all)
         z = sample_latent(posterior, noise)
-        r_star = self.deterministic_path(h_all, h_all[:m], r_ctx)
+        r_star = self.cross.attend(h_all, h_all[:m], r_ctx)
         mu, sigma = self.decode(h_all, r_star, z)
 
         y = ad.constant(futures)
@@ -340,14 +345,14 @@ class GranpModel:
                              f"[S, {self.config.latent}]")
         h_ctx, r_ctx, prior = self.encode_context(list(context))
         n_draws = len(noise)
-        z = prior.mu + prior.sigma * ad.constant(noise)     # [S, latent]
+        z = sample_latent(prior, noise)                     # [S, latent]
         results = []
         targets = list(targets)
         # targets stream through in chunks of bounded memory
         for start in range(0, len(targets), chunk_size):
             chunk = targets[start:start + chunk_size]
             h_t, _, _ = self.encode_pairs(chunk)
-            r_star = self.deterministic_path(h_t, h_ctx, r_ctx)
+            r_star = self.cross.attend(h_t, h_ctx, r_ctx)
             # one decoder pass for all draws: row s * k + j is draw s of
             # target j
             k = len(chunk)
@@ -364,11 +369,8 @@ class GranpModel:
             mean_m = stats.invert_xy(pooled_mean)
             sd_m = stats.scale_xy(pooled_sd)
             samples_m = stats.invert_xy(mus)
-            results += [PredictiveDistribution(
-                            mean=mean_m[j], std=sd_m[j],
-                            ci_low=mean_m[j] - 1.96 * sd_m[j],
-                            ci_high=mean_m[j] + 1.96 * sd_m[j],
-                            samples=samples_m[:, j])
+            results += [PredictiveDistribution(mean=mean_m[j], std=sd_m[j],
+                                               samples=samples_m[:, j])
                         for j in range(k)]
         return results
 

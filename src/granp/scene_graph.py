@@ -2,34 +2,21 @@
 vehicle and RBF-weighted adjacency over the surviving nodes."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
-# 200 ft x 35 ft, stored in meters; positions are meters throughout
-GRID_LENGTH_M = 60.96
-GRID_WIDTH_M = 10.668
 
-
-@dataclass(frozen=True)
 class OccupancyGrid:
     """Rectangle centered on the ego: length runs longitudinal (y), width
-    lateral (x)."""
+    lateral (x).  200 ft x 35 ft, stored in meters; positions are meters
+    throughout."""
 
-    length: float = GRID_LENGTH_M
-    width: float = GRID_WIDTH_M
-
-    def __post_init__(self):
-        if self.length <= 0 or self.width <= 0:
-            raise DataError(f"grid extents must be positive, got "
-                            f"{self.length} x {self.width}")
-
-    @property
-    def delta(self) -> float:
-        """RBF bandwidth: distance from grid center to a corner."""
-        return math.hypot(self.length / 2.0, self.width / 2.0)
+    length = 60.96
+    width = 10.668
+    delta = math.hypot(length / 2.0, width / 2.0)  # RBF bandwidth: center to corner
 
     def contains(self, dx: float, dy: float) -> bool:
         return abs(dy) <= self.length / 2.0 and abs(dx) <= self.width / 2.0
@@ -42,11 +29,6 @@ GRID = OccupancyGrid()  # gates and weights every scene graph
 class AdjacencyMatrix:
     matrix: np.ndarray          # [n, n], symmetric, entries in [0, 1]
     ids: tuple                  # node index -> vehicle id
-    delta: float
-    index: dict = field(init=False)
-
-    def __post_init__(self):
-        self.index = {vid: i for i, vid in enumerate(self.ids)}
 
 
 def select_grid_nodes(scene, reference_time: int):
@@ -87,4 +69,4 @@ def build_adjacency(ids, positions) -> AdjacencyMatrix:
             w = math.exp(-d2 / (delta * delta))
             a[i, j] = w
             a[j, i] = w
-    return AdjacencyMatrix(matrix=a, ids=ids, delta=delta)
+    return AdjacencyMatrix(matrix=a, ids=ids)

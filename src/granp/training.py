@@ -15,27 +15,32 @@ from .autodiff import Tape, backward
 from .data import (NormalizationStats, TARGET_HZ, make_episode,
                    scenes_from_doc, scenes_to_doc)
 from .errors import DataError, FormatError, NumericError
-from .model import (GranpModel, LOG_2PI, ModelConfig, PredictiveDistribution,
-                    STATE_FEATURES, prepare_scene, sample_latent)
+from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
+                    PredictiveDistribution, STATE_FEATURES, gaussian_nll,
+                    prepare_scene, sample_latent)
 
 CHECKPOINT_VERSION = 1
 # params.bin element type per manifest "precision"
 _PARAM_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# config keys that manifests written before the architecture was fixed
+# carry, with the only values they could hold
+_FIXED_CONFIG = {"gat_layers": GAT_LAYERS, "kernel": CONV_KERNEL}
 HORIZONS_S = (1, 2, 3, 4, 5)
 SAMPLE_DT = 1.0 / TARGET_HZ
+ADAM_BETA1 = 0.9        # canonical Adam moment decays and denominator guard
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Adam with bias correction; lr 5e-4 and canonical moment decays."""
+    """Adam with bias correction; lr 5e-4 by default."""
 
-    def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 5e-4):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise DataError("duplicate parameter names")
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -46,13 +51,13 @@ class AdamState:
         if missing:
             raise DataError(f"adam_step: missing gradient for {missing[0]!r}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for p in self.params:
             g = grads[p.name]
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * g
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1 - ADAM_BETA1) * g
+            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1 - ADAM_BETA2) * g * g
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -98,11 +103,10 @@ def validation_nll(model: GranpModel, val_prepared, ref_prepared) -> float:
     h_ctx, r_ctx, prior = model.encode_context(ref_prepared)
     z = sample_latent(prior, np.zeros(model.config.latent))
     h_t, _, _ = model.encode_pairs(val_prepared)
-    r_star = model.deterministic_path(h_t, h_ctx, r_ctx)
+    r_star = model.cross.attend(h_t, h_ctx, r_ctx)
     mu, sigma = model.decode(h_t, r_star, z)
     y = np.stack([sc.future for sc in val_prepared])
-    nll = (0.5 * LOG_2PI + np.log(sigma.data)
-           + np.square(y - mu.data) / (2.0 * np.square(sigma.data)))
+    nll = gaussian_nll(y, mu.data, sigma.data)
     return float(nll.sum() / (len(val_prepared) * model.config.t_f))
 
 
@@ -230,8 +234,7 @@ def metrics_from_predictions(predictions, futures_m, t_f: int) -> EvalReport:
     sd = np.stack([p.std for p in predictions])
     truth = np.stack(futures_m)
     err2 = np.square(mean - truth).sum(axis=2)          # [N, t_f]
-    nll = (0.5 * LOG_2PI + np.log(sd)
-           + np.square(truth - mean) / (2.0 * np.square(sd))).sum(axis=2)
+    nll = gaussian_nll(truth, mean, sd).sum(axis=2)
     rmse = {k: float(np.sqrt(err2[:, i].mean())) for k, i in steps.items()}
     nlls = {k: float(nll[:, i].mean()) for k, i in steps.items()}
     return EvalReport(rmse_m=rmse, nll_nats=nlls, n_scenes=len(predictions))
@@ -257,18 +260,14 @@ def cv_baseline(scene, t_f: int = 25) -> PredictiveDistribution:
     steps = np.arange(1, t_f + 1)[:, None] * SAMPLE_DT
     mean = hist[-1, :2] + steps * vel
     sd = np.full((t_f, 2), 0.5)
-    return PredictiveDistribution(
-        mean=mean, std=sd, ci_low=mean - 1.96 * sd, ci_high=mean + 1.96 * sd,
-        samples=mean[None])
+    return PredictiveDistribution(mean=mean, std=sd, samples=mean[None])
 
 
 def constant_position_baseline(scene, t_f: int = 25) -> PredictiveDistribution:
     """Predicts the last observed position forever; sigma 0.5 m."""
     mean = np.tile(scene.history[scene.ego][-1, :2], (t_f, 1))
     sd = np.full((t_f, 2), 0.5)
-    return PredictiveDistribution(
-        mean=mean, std=sd, ci_low=mean - 1.96 * sd, ci_high=mean + 1.96 * sd,
-        samples=mean[None])
+    return PredictiveDistribution(mean=mean, std=sd, samples=mean[None])
 
 
 def baseline_report(scenes, kind: str = "cv", t_f: int = 25) -> EvalReport:
@@ -341,7 +340,7 @@ def load_checkpoint(dir_path):
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise FormatError(f"{manifest_path}: unreadable manifest ({e})") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: manifest is not a JSON object")
@@ -358,7 +357,12 @@ def load_checkpoint(dir_path):
                               f"precision in an f32 process; load it under "
                               f"f64 (GRANP_PRECISION=f64)")
         dt = _PARAM_DTYPES[precision]
-        config = ModelConfig(**manifest["config"])
+        config_doc = {**manifest["config"]}
+        for key, fixed in _FIXED_CONFIG.items():
+            if key in config_doc and config_doc.pop(key) != fixed:
+                raise FormatError(f"{manifest_path}: config {key} must be "
+                                  f"{fixed}")
+        config = ModelConfig(**config_doc)
         model = GranpModel(config, seed=0)
         params = model.parameters()
         entries = manifest["parameters"]

@@ -22,6 +22,31 @@ def test_matmul_shape_rule():
         ad.matmul(a, ad.Tensor(np.zeros((4, 5))))
 
 
+@pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
+def test_elementwise_shape_rule_names_the_op(kind):
+    a = ad.Tensor(np.ones((2, 3)))
+    b = ad.Tensor(np.ones(4))
+    op = getattr(ad, kind)
+    assert op(a, ad.Tensor(np.ones(3))).shape == (2, 3)
+    with pytest.raises(ShapeError, match=rf"^{kind}: .*\(2, 3\).*\(4,\)"):
+        op(a, b)
+    with pytest.raises(ShapeError, match=rf"^{kind}: "):
+        op(b, a)
+
+
+def test_elementwise_sugar_shape_rule():
+    a = ad.Tensor(np.ones((2, 3)))
+    b = ad.Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match="^add: "):
+        a + b
+    with pytest.raises(ShapeError, match="^mul: "):
+        a * b
+    with pytest.raises(ShapeError, match="^sub: "):
+        a - np.ones(4)
+    with pytest.raises(ShapeError, match="^div: "):
+        a / np.ones(4)
+
+
 def test_matmul_batched_leading_dims(f64):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 2, 3))
@@ -81,7 +106,7 @@ def test_backward_leaky_relu_mean():
     # hand evaluation: d mean/dx_i = 1/2; slopes 0.2 at x<0, 1 at x>0
     p = ad.Parameter("x", [-1.0, 2.0])
     with ad.Tape() as tape:
-        root = ad.reduce_mean(ad.leaky_relu(p.tensor, slope=0.2))
+        root = ad.reduce_mean(ad.leaky_relu(p.tensor))
     grads = ad.backward(tape, root, [p])
     np.testing.assert_allclose(grads["x"], [0.1, 0.5])
 
@@ -162,7 +187,7 @@ ALL_PRIMITIVES = sorted(_fd_cases(0).keys())
 def test_primitive_gradients_match_finite_differences(kind, f64):
     for seed in range(10):
         fn, params = _fd_cases(seed)[kind]
-        errs = ad.grad_check(fn, params, perturbation=1e-5)
+        errs = ad.grad_check(fn, params)
         worst = max(errs.values())
         assert worst < 1e-4, f"{kind} seed {seed}: rel err {worst:.3e}"
 

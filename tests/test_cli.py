@@ -114,6 +114,19 @@ def test_train_bad_setting_is_data_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}",
+                                     b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "over-nested"])
+def test_train_unreadable_archive_is_data_error(tmp_path, capsys, content):
+    archive = tmp_path / "scenes.json"
+    archive.write_bytes(content)
+    code = run_cli(["train", "--data", str(archive), "--out",
+                    str(tmp_path / "c"), "--epochs", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid JSON" in err
+
+
 def test_train_missing_data_is_data_error(tmp_path, capsys):
     code = run_cli(["train", "--data", str(tmp_path / "absent"),
                     "--out", str(tmp_path / "c")])
@@ -211,6 +224,16 @@ def test_predict_manifest_not_an_object_is_data_error(pipeline, tmp_path,
     (bad / "manifest.json").write_text("[]")
     assert _run_predict(data, bad, tmp_path / "p.json") == 3
     assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_predict_manifest_not_utf8_is_data_error(pipeline, tmp_path, capsys):
+    data, _ = pipeline
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_bytes(b"\xff\xfe{}")
+    assert _run_predict(data, bad, tmp_path / "p.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unreadable manifest" in err
 
 
 # -- attention -----------------------------------------------------------------

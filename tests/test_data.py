@@ -79,6 +79,17 @@ def test_ingest_non_finite_names_file_and_field(tmp_path, value, column):
         data.ingest_tracks(p)
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + HEADER.encode(),
+    (HEADER + '\n"' + "1" * 200000 + "\n").encode()],
+    ids=["not-utf8", "field-over-csv-limit"])
+def test_ingest_unreadable_file_is_format_error(tmp_path, content):
+    p = tmp_path / "tracks.csv"
+    p.write_bytes(content)
+    with pytest.raises(FormatError, match="tracks.csv: unreadable CSV"):
+        data.ingest_tracks(p)
+
+
 def test_ingest_gap_in_frames_rejected(tmp_path):
     p = _write_csv(tmp_path / "t.csv", [
         "0,1,0,0,0,0,0,0,1",
@@ -144,6 +155,12 @@ def test_neighbor_phase_alignment():
 def test_bad_source_rate_rejected():
     with pytest.raises(DataError):
         data.resample_and_window([_straight_track(1, 200)], 24)
+
+
+@pytest.mark.parametrize("hz", [0, -25])
+def test_non_positive_source_rate_rejected(hz):
+    with pytest.raises(DataError, match="positive"):
+        data.resample_and_window([_straight_track(1, 200)], hz)
 
 
 def test_scene_shape_validation():
@@ -309,6 +326,16 @@ def test_archive_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(FormatError):
+        data.load_scenes(p)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}",
+                                     b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "over-nested"])
+def test_archive_rejects_unreadable_file(tmp_path, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    with pytest.raises(FormatError, match="bad.json: invalid JSON"):
         data.load_scenes(p)
 
 

@@ -59,11 +59,6 @@ def test_config_rejects_indivisible_heads():
         ModelConfig(hidden=10, heads=4)
 
 
-def test_config_rejects_wrong_layer_count():
-    with pytest.raises(DataError, match="gat_layers"):
-        ModelConfig(hidden=8, heads=2, gat_layers=3)
-
-
 # -- kl ----------------------------------------------------------------------
 
 def test_kl_matches_closed_form_oracle(f64):
@@ -136,6 +131,21 @@ def test_sample_latent_unit_noise_adds_sigma():
 def test_sample_latent_rejects_wrong_size():
     with pytest.raises(ShapeError, match="noise"):
         sample_latent(_dist([0.0], [1.0]), np.zeros(3))
+
+
+def test_sample_latent_rows_match_single_draws():
+    d = _dist([0.5, -2.0, 0.1], [0.3, 0.9, 0.2])
+    noise = np.random.default_rng(8).standard_normal((4, 3))
+    rows = sample_latent(d, noise)
+    assert rows.shape == (4, 3)
+    for s, eps in enumerate(noise):
+        assert rows.data[s].tobytes() == sample_latent(d, eps).data[0].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 1, 3)])
+def test_sample_latent_rejects_bad_noise_rows(shape):
+    with pytest.raises(ShapeError, match="noise"):
+        sample_latent(_dist([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), np.zeros(shape))
 
 
 def test_sample_latent_monte_carlo_moments(f64):
@@ -526,7 +536,7 @@ def test_predict_one_pass_decode_matches_per_draw_decode(f64, monkeypatch,
 
     h_ctx, r_ctx, prior = model.encode_context(context)
     h_t, _, _ = model.encode_pairs(targets)
-    r_star = model.deterministic_path(h_t, h_ctx, r_ctx)
+    r_star = model.cross.attend(h_t, h_ctx, r_ctx)
     draws = [model.decode(h_t, r_star, sample_latent(prior, eps))
              for eps in noise]
     mus = np.stack([mu.data for mu, _ in draws])

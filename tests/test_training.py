@@ -192,9 +192,8 @@ def _flat_predictions(n, mean_offset=0.0, sd=1.0, t_f=T_F):
         truth = np.zeros((t_f, 2))
         mean = truth + mean_offset
         s = np.full((t_f, 2), sd)
-        preds.append(PredictiveDistribution(
-            mean=mean, std=s, ci_low=mean - 1.96 * s, ci_high=mean + 1.96 * s,
-            samples=mean[None]))
+        preds.append(PredictiveDistribution(mean=mean, std=s,
+                                            samples=mean[None]))
         futures.append(truth)
     return preds, futures
 
@@ -342,6 +341,42 @@ def test_checkpoint_ignores_legacy_reference_context_ids(tmp_path):
     json.dump(manifest, open(path, "w"))
     _, _, lref = load_checkpoint(tmp_path)
     assert len(lref) == len(reference)
+
+
+def test_checkpoint_loads_legacy_fixed_architecture_keys(tmp_path):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    path = os.path.join(tmp_path, "manifest.json")
+    manifest = json.load(open(path))
+    assert "gat_layers" not in manifest["config"]
+    assert "kernel" not in manifest["config"]
+    manifest["config"].update(gat_layers=2, kernel=3)
+    json.dump(manifest, open(path, "w"))
+    loaded, _, _ = load_checkpoint(tmp_path)
+    assert loaded.config == model.config
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+@pytest.mark.parametrize("key,value", [("gat_layers", 3), ("kernel", 5)])
+def test_checkpoint_rejects_other_fixed_architecture(tmp_path, key, value):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    path = os.path.join(tmp_path, "manifest.json")
+    manifest = json.load(open(path))
+    manifest["config"][key] = value
+    json.dump(manifest, open(path, "w"))
+    with pytest.raises(FormatError, match=f"config {key} must be"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "over-nested"])
+def test_checkpoint_rejects_unreadable_manifest(tmp_path, content):
+    with open(os.path.join(tmp_path, "manifest.json"), "wb") as fh:
+        fh.write(content)
+    with pytest.raises(FormatError, match="unreadable manifest"):
+        load_checkpoint(tmp_path)
 
 
 def test_checkpoint_rejects_manifest_that_is_not_an_object(tmp_path):
