@@ -132,6 +132,9 @@ def resample_and_window(tracks, source_hz: int, ego_ids=None):
         raise DataError("duplicate vehicle ids across tracks")
     if ego_ids is None:
         ego_ids = sorted(by_id)
+    unknown = [v for v in ego_ids if v not in by_id]
+    if unknown:
+        raise DataError(f"ego ids without a track: {unknown}")
 
     sampled = {}
     for vid, tr in by_id.items():
@@ -350,7 +353,7 @@ def scenes_from_doc(doc, where: str = "scene archive"):
                     raise FormatError(f"{where}: scene {i} {name} is not finite")
             scenes.append(TrajectoryScene(
                 ego=int(entry["ego"]), history=history, future=future))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{where}: malformed scene archive ({e})") from None
     return scenes
 

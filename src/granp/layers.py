@@ -160,33 +160,26 @@ class GatLayer:
     def parameters(self):
         return [p for pair in zip(self.w, self.a) for p in pair]
 
-    @staticmethod
-    def _mask_of(adjacency) -> np.ndarray:
-        matrix = np.asarray(adjacency)
-        if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-            raise ShapeError(f"gat_forward: adjacency must be square, got {matrix.shape}")
-        return (matrix > 0).astype(ad.dtype())
-
-    def forward(self, nodes: Tensor, adjacency):
-        """nodes: [n, in_dim]; adjacency: [n, n] array.
+    def forward(self, nodes: Tensor, mask):
+        """nodes: [n, in_dim]; mask: [n, n] array, entries > 0 are edges.
 
         Returns ([n, out_dim], attention [heads, n, n]).
         """
-        out, attn = self.forward_seq(nodes.reshape((1,) + tuple(nodes.shape)), adjacency)
+        out, attn = self.forward_seq(nodes.reshape((1,) + tuple(nodes.shape)), mask)
         return out[0], attn[:, 0]
 
-    def forward_seq(self, nodes_seq: Tensor, adjacency):
+    def forward_seq(self, nodes_seq: Tensor, mask):
         """Batched form: nodes [T, ..., n, in_dim] -> [T, ..., n, out_dim].
 
-        ``adjacency`` is [..., n, n]: one graph per leading index, shared by
-        every step T.  A batch of scenes comes in the padded layout, one
-        n_max x n_max block per scene, so attention stays within a scene.
-        Returns (out, attention [heads, T, ..., n, n]).
+        ``mask`` is [..., n, n], entries > 0 are edges: one graph per
+        leading index, shared by every step T.  A batch of scenes comes in
+        the padded layout, one n_max x n_max block per scene, so attention
+        stays within a scene.  Returns (out, attention [heads, T, ..., n, n]).
         """
-        mask = self._mask_of(adjacency)
+        mask = np.asarray(mask)
         batch, n = tuple(nodes_seq.shape[1:-2]), nodes_seq.shape[-2]
         if mask.shape != batch + (n, n):
-            raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but adjacency is {mask.shape}")
+            raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but mask is {mask.shape}")
         d_out = self.out_dim
         swap = tuple(range(nodes_seq.ndim - 2)) + (nodes_seq.ndim - 1, nodes_seq.ndim - 2)
         total = None

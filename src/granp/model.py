@@ -18,7 +18,7 @@ from .autodiff import Parameter, Tensor
 from .errors import DataError, NumericError, ShapeError
 from .layers import (ConvMlpEncoder, CrossAttention, GatLayer, LstmEncoder,
                      MlpBlock)
-from .scene_graph import build_adjacency, select_grid_nodes
+from .scene_graph import select_grid_nodes
 from .data import T_F, T_N, PreparedBatch
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -30,6 +30,7 @@ DECODER_SIGMA_MIN = 0.01
 STATE_FEATURES = 4      # x, y, s, a
 GAT_LAYERS = 2          # stacked graph-attention layers
 CONV_KERNEL = 3         # temporal kernel of the Conv-MLP encoders
+PREDICT_CHUNK = 32      # targets encoded per pass; bounds predict's memory
 
 
 @dataclass
@@ -47,7 +48,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.latent == 0:
             self.latent = self.hidden
-        if self.hidden < 1 or self.heads < 1 or self.latent < 1:
+        if min(self.hidden, self.heads, self.latent, self.t_n, self.t_f) < 1:
             raise DataError(f"non-positive model dimensions in {self}")
         if self.hidden % self.heads != 0:
             raise DataError(f"hidden {self.hidden} not divisible by "
@@ -56,12 +57,12 @@ class ModelConfig:
 
 @dataclass
 class PreparedScene:
-    """A scene ready for the model: z-scored states stacked node-major, the
-    RBF adjacency built from meter positions, and the z-scored future."""
+    """A scene ready for the model: z-scored states stacked node-major and
+    the z-scored future.  Every node lies inside the ego's grid, so the
+    scene's graph is complete and the node count is all the GAT needs."""
 
     ids: tuple
     states: np.ndarray          # [t_n, n, 4], normalized
-    adjacency: np.ndarray       # [n, n]
     future: np.ndarray | None   # [t_f, 2], normalized
 
 
@@ -102,17 +103,14 @@ def gaussian_nll(y, mu, sigma) -> np.ndarray:
 
 
 def prepare_scene(scene, stats) -> PreparedScene:
-    """Order nodes (ego first), build the adjacency from meter positions,
-    then z-score the states.  The graph must come from meters: the RBF
-    bandwidth is a physical distance."""
+    """Keep the grid-gated nodes (ego first), then z-score the states.  The
+    gating must come from meters: the grid is a physical extent."""
     order = select_grid_nodes(scene, T_N - 1)
-    pos = np.stack([scene.history[v][T_N - 1, :2] for v in order])
-    adj = build_adjacency(order, pos)
     states = np.stack([stats.apply_states(scene.history[v]) for v in order],
                       axis=1)
     future = scene.future
     return PreparedScene(
-        ids=tuple(order), states=states, adjacency=adj.matrix,
+        ids=tuple(order), states=states,
         future=None if future is None else stats.apply_xy(future))
 
 
@@ -180,35 +178,36 @@ class GranpModel:
         """Padded per-scene batching, the ``to_dense_batch`` layout.
 
         Scene i's nodes fill ``states[:, i, :n_i]`` of a [t_n, B, n_max, 4]
-        array, ego at node 0.  The adjacency is [B, n_max, n_max]: scene
-        i's graph in its top-left n_i x n_i block, and a self-loop on every
-        padding node so no softmax row is empty.  Real nodes have no edge
-        to a padding node, so padding never reaches a real node's output.
+        array, ego at node 0.  The boolean mask is [B, n_max, n_max]: scene
+        i's n_i real nodes form a full top-left block (the scene graph is
+        complete), and every padding node has only its self-loop so no
+        softmax row is empty.  Real nodes have no edge to a padding node,
+        so padding never reaches a real node's output.
         """
         cfg = self.config
         for sc in scenes:
             if sc.states.shape[0] != cfg.t_n or sc.states.shape[2] != STATE_FEATURES:
                 raise DataError(f"scene states {sc.states.shape}, expected "
                                 f"[{cfg.t_n}, n, {STATE_FEATURES}]")
-        n_max = max(sc.states.shape[1] for sc in scenes)
+        counts = np.array([sc.states.shape[1] for sc in scenes])
+        n_max = counts.max()
         states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES))
-        adj = np.tile(np.eye(n_max), (len(scenes), 1, 1))
         for i, sc in enumerate(scenes):
-            n = sc.states.shape[1]
-            states[:, i, :n] = sc.states
-            adj[i, :n, :n] = sc.adjacency
-        return states, adj
+            states[:, i, :counts[i]] = sc.states
+        real = np.arange(n_max) < counts[:, None]               # [B, n_max]
+        mask = (real[:, :, None] & real[:, None, :]) | np.eye(n_max, dtype=bool)
+        return states, mask
 
     def encode_pairs(self, scenes):
         """Per-timestep GAT over the padded scene graphs, then the LSTM over
         each ego sequence.  Returns (H [B, d], ego_seq [t_n, B, d],
         attention), with one [heads, t_n, B, n_max, n_max] array per GAT
         layer."""
-        states, adj = self._stack(scenes)
+        states, mask = self._stack(scenes)
         h = self.embed.forward(ad.constant(states))
         attention = []
         for gat in self.gat:
-            h, att = gat.forward_seq(h, adj)
+            h, att = gat.forward_seq(h, mask)
             attention.append(att)
         ego_seq = h[:, :, 0]
         return self.lstm.encode(ego_seq), ego_seq, attention
@@ -261,7 +260,7 @@ class GranpModel:
         """Exact snapshot of what the context encoding reads."""
         arrays = [p.data for p in self.parameters()]
         for sc in context:
-            arrays += [sc.states, sc.adjacency, sc.future]
+            arrays += [sc.states, sc.future]
         return ad.get_precision(), [(a.shape, a.dtype.str, a.tobytes())
                                     for a in arrays]
 
@@ -325,7 +324,7 @@ class GranpModel:
         return loss, {"recon_nll": nll_sum.item() / denom, "kl": kl.item()}
 
     def predict(self, targets, context, stats, samples: int = 30, seed=0,
-                noise=None, chunk_size: int = 32):
+                noise=None):
         """Decode S latent draws from the context prior and pool them.
 
         Pooled variance adds the decoder variance to the spread of the
@@ -349,8 +348,8 @@ class GranpModel:
         results = []
         targets = list(targets)
         # targets stream through in chunks of bounded memory
-        for start in range(0, len(targets), chunk_size):
-            chunk = targets[start:start + chunk_size]
+        for start in range(0, len(targets), PREDICT_CHUNK):
+            chunk = targets[start:start + PREDICT_CHUNK]
             h_t, _, _ = self.encode_pairs(chunk)
             r_star = self.cross.attend(h_t, h_ctx, r_ctx)
             # one decoder pass for all draws: row s * k + j is draw s of

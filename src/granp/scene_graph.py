@@ -22,7 +22,7 @@ class OccupancyGrid:
         return abs(dy) <= self.length / 2.0 and abs(dx) <= self.width / 2.0
 
 
-GRID = OccupancyGrid()  # gates and weights every scene graph
+GRID = OccupancyGrid()  # gates every scene graph; delta is the RBF bandwidth
 
 
 @dataclass

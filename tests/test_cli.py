@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line pipeline: file side effects,
 emitted JSON invariants, exit codes, and determinism."""
 
+import copy
 import json
+import shutil
 import subprocess
 import sys
 
@@ -273,6 +275,74 @@ def test_gradcheck_failure_exits_numeric(monkeypatch, capsys):
                         lambda: {"add": 1e-9, "lstm_encoder": 3e-3})
     assert run_cli(["gradcheck"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+# -- mutation fuzz -------------------------------------------------------------
+
+FUZZ_VALUES = [None, True, -1, 0, 7, 0.5, -1e308, 1e308, float("nan"),
+               float("inf"), "", "x", [], [[]], {}, {"a": 1}]
+
+
+def _mutate(doc, rng):
+    """Copy of a JSON document with one node, reached by a random walk from
+    the root, replaced by a fuzz value, deleted or (a list) truncated."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while (isinstance(node, (dict, list)) and node
+           and (parent is None or rng.random() < 0.7)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = keys[int(rng.integers(len(keys)))]
+        parent, node = node, node[key]
+    if parent is None:
+        return FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+    op = rng.random()
+    if op < 0.15:
+        del parent[key]
+    elif op < 0.25 and isinstance(node, list):
+        del node[len(node) // 2:]
+    else:
+        parent[key] = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+    return doc
+
+
+def test_mutated_manifest_and_archive_exit_with_a_documented_code(
+        pipeline, tmp_path, capsys):
+    """Seeded value and type mutations of a checkpoint manifest and of a
+    scene archive, each run through predict and eval: every run ends with
+    exit 0, 2, 3 or 4 and none raises."""
+    data, ckpt = pipeline
+    rng = np.random.default_rng(2024)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    archive = json.loads((data / "scenes.json").read_text())
+    escaped = []
+    for i in range(60):
+        case = tmp_path / str(i)
+        fuzz_data, fuzz_ckpt = case / "data", case / "ckpt"
+        shutil.copytree(ckpt, fuzz_ckpt)
+        fuzz_data.mkdir()
+        if i % 2:
+            doc, path = archive, fuzz_data / "scenes.json"
+        else:
+            doc, path = manifest, fuzz_ckpt / "manifest.json"
+            shutil.copy(data / "scenes.json", fuzz_data)
+        path.write_text(json.dumps(_mutate(doc, rng)))
+        runs = {
+            "predict": ["predict", "--data", str(fuzz_data), "--ckpt",
+                        str(fuzz_ckpt), "--scene", "0", "--samples", "2",
+                        "--out", str(case / "p.json")],
+            "eval": ["eval", "--data", str(fuzz_data), "--ckpt",
+                     str(fuzz_ckpt), "--samples", "2",
+                     "--report", str(case / "r.json")]}
+        for command, argv in runs.items():
+            try:
+                code = run_cli(argv)
+            except Exception as err:    # an escape is what this test finds
+                escaped.append((i, command, repr(err)))
+                continue
+            if code not in (0, 2, 3, 4):
+                escaped.append((i, command, code))
+        capsys.readouterr()
+    assert escaped == []
 
 
 # -- module entry point ----------------------------------------------------------

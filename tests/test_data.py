@@ -143,6 +143,11 @@ def test_neighbor_rules():
     assert set(scenes[0].history) == {1, 2}
 
 
+def test_unknown_ego_id_is_data_error():
+    with pytest.raises(DataError, match="99"):
+        data.resample_and_window([_straight_track(1, 200)], 25, ego_ids=[99])
+
+
 def test_neighbor_phase_alignment():
     ego = _straight_track(1, 200, first_frame=5)
     aligned = _straight_track(2, 210, x=3.5, y0=6.0, first_frame=0)
@@ -359,6 +364,14 @@ def test_archive_rejects_history_that_is_not_an_object(tmp_path):
     p.write_text('{"rate_hz":5,"scenes":[{"ego":0,"history":[1],'
                  '"future":[]}]}')
     with pytest.raises(FormatError, match="scene 0 history is not an object"):
+        data.load_scenes(p)
+
+
+def test_archive_rejects_infinite_ego_id(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"rate_hz":5,"scenes":[{"ego":Infinity,"history":{},'
+                 '"future":[]}]}')
+    with pytest.raises(FormatError, match="malformed"):
         data.load_scenes(p)
 
 

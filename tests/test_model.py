@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from granp import autodiff as ad
+from granp import model as granp_model
 from granp.autodiff import Tape, backward, grad_check
 from granp.data import NormalizationStats, synth_scenes
 from granp.errors import DataError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          LatentDistribution, ModelConfig, PreparedBatch,
                          PreparedScene, kl_diag, prepare_scene, sample_latent)
-from granp.scene_graph import build_adjacency
+from granp.scene_graph import GRID, build_adjacency, select_grid_nodes
 from granp.training import validation_nll
 
 
@@ -28,12 +29,11 @@ def _micro_config():
 
 
 def _micro_scene(rng, cfg, n):
-    ids = tuple(range(n))
-    pos = rng.uniform(-20.0, 20.0, size=(n, 2))
-    adj = build_adjacency(ids, pos)
+    rng.uniform(-20.0, 20.0, size=(n, 2))  # unused; fixes the seeded inputs
     future = rng.normal(size=(cfg.t_f, 2))
-    return PreparedScene(ids=ids, states=rng.normal(size=(cfg.t_n, n, 4)),
-                         adjacency=adj.matrix, future=future)
+    return PreparedScene(ids=tuple(range(n)),
+                         states=rng.normal(size=(cfg.t_n, n, 4)),
+                         future=future)
 
 
 def _micro_batch(seed=0, sizes=(3, 2), m=1):
@@ -52,6 +52,12 @@ def _flat_stats():
 def test_config_latent_defaults_to_hidden():
     assert ModelConfig(hidden=32, heads=4).latent == 32
     assert ModelConfig(hidden=32, heads=4, latent=8).latent == 8
+
+
+@pytest.mark.parametrize("field", ["hidden", "latent", "t_n", "t_f"])
+def test_config_rejects_non_positive_dimensions(field):
+    with pytest.raises(DataError, match="non-positive"):
+        ModelConfig(**{"hidden": 8, "heads": 2, field: -1})
 
 
 def test_config_rejects_indivisible_heads():
@@ -326,7 +332,6 @@ def test_predict_interval_arithmetic(f64):
                                std=np.array([2.0, 3.0, 1.0, 1.0]))
     target = PreparedScene(ids=batch.scenes[0].ids,
                            states=batch.scenes[0].states,
-                           adjacency=batch.scenes[0].adjacency,
                            future=None)
     (pred,) = model.predict([target], batch.scenes, stats, samples=4, seed=0)
     assert pred.mean.shape == (cfg.t_f, 2)
@@ -369,7 +374,7 @@ def test_predict_invariant_to_context_order(f64):
         np.testing.assert_allclose(pred.std, base.std, atol=1e-9)
 
 
-def test_predict_chunking_matches_single_pass(f64):
+def test_predict_chunking_matches_single_pass(f64, monkeypatch):
     rng = np.random.default_rng(12)
     cfg = _micro_config()
     context = [_micro_scene(rng, cfg, 2) for _ in range(3)]
@@ -379,8 +384,8 @@ def test_predict_chunking_matches_single_pass(f64):
     stats = _flat_stats()
     noise = rng.standard_normal((3, cfg.latent))
     whole = model.predict(targets, context, stats, noise=noise)
-    pieces = model.predict(targets, context, stats, noise=noise,
-                           chunk_size=2)
+    monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 2)
+    pieces = model.predict(targets, context, stats, noise=noise)
     for a, b in zip(whole, pieces):
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
         np.testing.assert_allclose(a.std, b.std, atol=1e-10)
@@ -411,14 +416,13 @@ def test_predict_encodes_context_once_via_encode_context(monkeypatch):
     cfg, batch = _micro_batch(seed=4, sizes=(3, 2, 2), m=3)
     model = GranpModel(cfg, seed=3)
     calls = _record_encodes(model, monkeypatch)
-    model.predict(batch.scenes[:2], batch.scenes, _flat_stats(), samples=3,
-                  chunk_size=1)
+    monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 1)
+    model.predict(batch.scenes[:2], batch.scenes, _flat_stats(), samples=3)
     assert calls == ["context", 3, 1, 1]
 
 
 def _copy_scene(sc):
     return PreparedScene(ids=sc.ids, states=sc.states.copy(),
-                         adjacency=sc.adjacency.copy(),
                          future=sc.future.copy())
 
 
@@ -578,7 +582,6 @@ def test_predict_argument_validation():
                       noise=np.zeros(cfg.latent))
     headless = PreparedScene(ids=batch.scenes[0].ids,
                              states=batch.scenes[0].states,
-                             adjacency=batch.scenes[0].adjacency,
                              future=None)
     with pytest.raises(DataError, match="futures"):
         model.predict(batch.scenes, [headless], stats, samples=1)
@@ -593,25 +596,13 @@ def test_prepare_scene_orders_and_normalizes():
     prep = prepare_scene(scene, stats)
     assert prep.ids[0] == scene.ego
     assert list(prep.ids[1:]) == sorted(prep.ids[1:])
+    # the grid gate reads meter positions, not the z-scored states
+    assert list(prep.ids) == select_grid_nodes(scene, 14)
     n = len(prep.ids)
     assert prep.states.shape == (15, n, 4)
     np.testing.assert_allclose(prep.states[:, 0],
                                stats.apply_states(scene.history[scene.ego]))
     np.testing.assert_allclose(prep.future, stats.apply_xy(scene.future))
-    np.testing.assert_allclose(np.diag(prep.adjacency), 1.0)
-    np.testing.assert_array_equal(prep.adjacency, prep.adjacency.T)
-
-
-def test_prepare_scene_adjacency_uses_meter_distances():
-    scenes = synth_scenes(2, seed=4, mix=1.0)
-    stats = NormalizationStats.fit(scenes)
-    scene = scenes[0]
-    prep = prepare_scene(scene, stats)
-    pos = np.stack([scene.history[v][14, :2] for v in prep.ids])
-    delta2 = 30.48 ** 2 + 5.334 ** 2
-    d2 = np.square(pos[0] - pos[1]).sum()
-    assert prep.adjacency[0, 1] == pytest.approx(np.exp(-d2 / delta2),
-                                                 abs=1e-12)
 
 
 def test_model_seeding_is_deterministic():
@@ -656,17 +647,39 @@ def test_encode_pairs_padded_batch_matches_single_scenes(f64):
             assert (att[:, :, i, :n, n:] == 0.0).all()
 
 
+def test_stack_mask_is_the_support_of_the_rbf_adjacency():
+    """Every node kept by the grid gate lies within the ego's grid, so the
+    RBF adjacency has no zero in a scene and the mask is the full block."""
+    rng = np.random.default_rng(19)
+    cfg = _micro_config()
+    model = GranpModel(cfg, seed=0)
+    sizes = (1, 4, 7)
+    _, mask = model._stack([_micro_scene(rng, cfg, n) for n in sizes])
+    n_max = max(sizes)
+    assert mask.dtype == bool and mask.shape == (len(sizes), n_max, n_max)
+    half = np.array([GRID.width, GRID.length]) / 2.0
+    for i, n in enumerate(sizes):
+        # ego at the origin; neighbors anywhere in its grid, two at corners
+        pos = np.vstack([np.zeros(2), half, -half,
+                         rng.uniform(-half, half, size=(4, 2))])[:n]
+        adj = build_adjacency(range(n), pos).matrix
+        np.testing.assert_array_equal(mask[i, :n, :n], adj > 0)
+        assert not mask[i, :n, n:].any()
+        np.testing.assert_array_equal(mask[i, n:],
+                                      np.eye(n_max, dtype=bool)[n:])
+
+
 def test_padding_node_states_do_not_reach_real_nodes(f64):
     rng = np.random.default_rng(16)
     cfg = _micro_config()
     model = GranpModel(cfg, seed=5)
     scenes = [_micro_scene(rng, cfg, n) for n in (2, 6, 4)]
-    states, adj = model._stack(scenes)
+    states, mask = model._stack(scenes)
 
     def node_outputs(s):
         h = model.embed.forward(ad.constant(s))
         for gat in model.gat:
-            h, _ = gat.forward_seq(h, adj)
+            h, _ = gat.forward_seq(h, mask)
         return h.data
 
     noisy = states.copy()

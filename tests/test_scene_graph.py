@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from granp import scene_graph as sg
+from granp.data import T_N, synth_scenes
 from granp.errors import DataError
+
+# Two grid-gated nodes are at most the grid diagonal, 2 * delta, apart, so
+# their weight is at least e^-4 (less rounding).
+MIN_IN_GRID_WEIGHT = np.exp(-4.0) * (1 - 1e-12)
 
 
 def _scene(ego, positions):
@@ -73,6 +78,25 @@ def test_adjacency_monotone_in_distance():
     adj = sg.build_adjacency(
         [1, 2, 3], [[0.0, 0.0], [0.0, 3.0], [0.0, 10.0]])
     assert adj.matrix[0, 1] > adj.matrix[0, 2] > 0.0
+
+
+def test_adjacency_opposite_grid_corners_stay_connected():
+    grid = sg.OccupancyGrid()
+    corner = np.array([grid.width, grid.length]) / 2.0
+    w = sg.build_adjacency([1, 2], [corner, -corner]).matrix[0, 1]
+    assert w == pytest.approx(np.exp(-4.0), rel=1e-12)   # the bound is tight
+    assert w >= MIN_IN_GRID_WEIGHT and w > 0.0
+
+
+def test_adjacency_has_no_zero_among_grid_gated_nodes():
+    pairs = 0
+    for scene in synth_scenes(40, seed=8):
+        ids = sg.select_grid_nodes(scene, T_N - 1)
+        pos = np.stack([scene.history[v][T_N - 1, :2] for v in ids])
+        a = sg.build_adjacency(ids, pos).matrix
+        assert (a >= MIN_IN_GRID_WEIGHT).all() and (a > 0).all()
+        pairs += len(ids) * (len(ids) - 1)
+    assert pairs > 0
 
 
 def test_adjacency_duplicate_ids_rejected():
