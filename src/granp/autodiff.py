@@ -413,7 +413,7 @@ LEAKY_SLOPE = 0.2  # canonical negative slope for graph-attention scoring
 
 def leaky_relu(x: Tensor) -> Tensor:
     out = Tensor(np.where(x.data > 0, x.data, LEAKY_SLOPE * x.data))
-    return _record(out, (x,), lambda g: (g * np.where(x.data > 0, 1.0, LEAKY_SLOPE),))
+    return _record(out, (x,), lambda g: (np.where(x.data > 0, g, LEAKY_SLOPE * g),))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -423,9 +423,10 @@ def softplus(x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis; each row sums to 1."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
+    e = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)        # in place: the widest temporary is the output
+    e /= e.sum(axis=-1, keepdims=True)
+    out = Tensor(e)
 
     def bwd(g):
         s = out.data

@@ -24,13 +24,12 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Row softmax restricted to mask > 0; masked entries come out exactly 0.
 
-    Masked scores are pushed to -MASK_NEG before the softmax, so their
+    Masked scores are lowered by MASK_NEG before the softmax, so their
     exponentials underflow to zero while gradients stay exact for the rest.
     Every row must have at least one unmasked entry.
     """
-    m = ad.constant((mask > 0).astype(ad.dtype()))
-    shifted = scores * m + (m - 1.0) * MASK_NEG
-    return ad.softmax_rows(shifted)
+    penalty = ad.constant(np.where(mask > 0, 0.0, -MASK_NEG))
+    return ad.softmax_rows(scores + penalty)
 
 
 class MlpBlock:
@@ -175,28 +174,37 @@ class GatLayer:
         leading index, shared by every step T.  A batch of scenes comes in
         the padded layout, one n_max x n_max block per scene, so attention
         stays within a scene.  Returns (out, attention [heads, T, ..., n, n]).
+
+        All heads run in one pass.  Head k's scores are x W_k a1_k and
+        x W_k a2_k, so the score vectors are folded through their
+        projections and every head's scores come from one x @ [in_dim, 2H]
+        GEMM.  Attention is held heads-inner, [T, ..., n, H, n], so that
+        sum_k alpha_k x W_k / H is one batched alpha @ x followed by one
+        GEMM with the per-head W stacked along rows; no node-sized array
+        is made per head.
         """
         mask = np.asarray(mask)
-        batch, n = tuple(nodes_seq.shape[1:-2]), nodes_seq.shape[-2]
-        if mask.shape != batch + (n, n):
+        lead, n = tuple(nodes_seq.shape[:-2]), nodes_seq.shape[-2]
+        if mask.shape != lead[1:] + (n, n):
             raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but mask is {mask.shape}")
-        d_out = self.out_dim
+        heads, d_out = self.heads, self.out_dim
         swap = tuple(range(nodes_seq.ndim - 2)) + (nodes_seq.ndim - 1, nodes_seq.ndim - 2)
-        total = None
-        attn = np.empty((self.heads, nodes_seq.shape[0]) + batch + (n, n), dtype=ad.dtype())
-        for k in range(self.heads):
-            wh = ad.matmul(nodes_seq, self.w[k].tensor)          # [T, ..., n, d_out]
-            a1 = self.a[k].tensor[:d_out]
-            a2 = self.a[k].tensor[d_out:]
-            f1 = ad.matmul(wh, a1)                               # [T, ..., n, 1]
-            f2 = ad.matmul(wh, a2)
-            scores = ad.leaky_relu(f1 + ad.transpose(f2, swap))
-            alpha = masked_softmax(scores, mask)                 # [T, ..., n, n]
-            attn[k] = alpha.data
-            head_out = ad.matmul(alpha, wh)
-            total = head_out if total is None else total + head_out
-        averaged = total * ad.constant(1.0 / self.heads)
-        return ad.relu(averaged), attn
+        # column k is W_k a1_k, column H + k is W_k a2_k
+        a_fold = ad.concat(
+            [ad.matmul(w.tensor, a.tensor[:d_out]) for w, a in zip(self.w, self.a)]
+            + [ad.matmul(w.tensor, a.tensor[d_out:]) for w, a in zip(self.w, self.a)],
+            axis=1)
+        f = ad.matmul(nodes_seq, a_fold)                         # [T, ..., n, 2H]
+        f1 = f[..., :heads].reshape(lead + (n, heads, 1))
+        f2 = ad.transpose(f[..., heads:], swap).reshape(lead + (1, heads, n))
+        alpha = masked_softmax(ad.leaky_relu(f1 + f2),
+                               mask[..., :, None, :])           # [T, ..., n, H, n]
+        w_mean = ad.concat([w.tensor for w in self.w], axis=0) * ad.constant(1.0 / heads)
+        # alpha @ x, [T, ..., n·H, in_dim], is the widest temporary; no
+        # name holds it past the projection
+        out = ad.matmul(ad.matmul(alpha.reshape(lead + (n * heads, n)), nodes_seq)
+                        .reshape(lead + (n, heads * self.in_dim)), w_mean)
+        return ad.relu(out), np.moveaxis(alpha.data, -2, 0)
 
 
 class CrossAttention:

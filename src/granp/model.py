@@ -30,7 +30,7 @@ DECODER_SIGMA_MIN = 0.01
 STATE_FEATURES = 4      # x, y, s, a
 GAT_LAYERS = 2          # stacked graph-attention layers
 CONV_KERNEL = 3         # temporal kernel of the Conv-MLP encoders
-PREDICT_CHUNK = 32      # targets encoded per pass; bounds predict's memory
+PREDICT_CHUNK = 32      # scenes per encode pass, context or targets; bounds memory
 
 
 @dataclass
@@ -104,14 +104,22 @@ def gaussian_nll(y, mu, sigma) -> np.ndarray:
 
 def prepare_scene(scene, stats) -> PreparedScene:
     """Keep the grid-gated nodes (ego first), then z-score the states.  The
-    gating must come from meters: the grid is a physical extent."""
+    gating must come from meters: the grid is a physical extent.
+
+    Raises DataError when a z-scored value is beyond the largest finite
+    value of the run's precision, where the model's cast would make it
+    infinite: a finite input such as -1e308 overflows f32."""
     order = select_grid_nodes(scene, T_N - 1)
     states = np.stack([stats.apply_states(scene.history[v]) for v in order],
                       axis=1)
-    future = scene.future
-    return PreparedScene(
-        ids=tuple(order), states=states,
-        future=None if future is None else stats.apply_xy(future))
+    future = None if scene.future is None else stats.apply_xy(scene.future)
+    limit = np.finfo(ad.dtype()).max
+    for name, arr in (("states", states), ("future", future)):
+        if arr is not None and (np.abs(arr) > limit).any():
+            raise DataError(f"prepare_scene: scene of ego {scene.ego}: "
+                            f"normalized {name} overflow "
+                            f"{ad.get_precision()}")
+    return PreparedScene(ids=tuple(order), states=states, future=future)
 
 
 def kl_diag(posterior: LatentDistribution, prior: LatentDistribution) -> Tensor:
@@ -265,7 +273,12 @@ class GranpModel:
                                     for a in arrays]
 
     def _encode_context(self, context):
-        h_ctx, ego_ctx, _ = self.encode_pairs(context)
+        # the GAT holds every head's attention at once, so the context
+        # encodes in PREDICT_CHUNK-scene slices, as predict's targets do
+        parts = [self.encode_pairs(context[i:i + PREDICT_CHUNK])[:2]
+                 for i in range(0, len(context), PREDICT_CHUNK)]
+        h_ctx = ad.concat([h for h, _ in parts], axis=0)
+        ego_ctx = ad.concat([ego for _, ego in parts], axis=1)
         feats = self.pair_features(ego_ctx,
                                    np.stack([sc.future for sc in context]))
         r_ctx = self.enc_det.encode(feats)
@@ -345,11 +358,16 @@ class GranpModel:
         h_ctx, r_ctx, prior = self.encode_context(list(context))
         n_draws = len(noise)
         z = sample_latent(prior, noise)                     # [S, latent]
-        results = []
         targets = list(targets)
-        # targets stream through in chunks of bounded memory
-        for start in range(0, len(targets), PREDICT_CHUNK):
-            chunk = targets[start:start + PREDICT_CHUNK]
+        results = [None] * len(targets)
+        # targets stream through in chunks of bounded memory, grouped by
+        # node count so that no chunk is padded to one large scene; largest
+        # first, so each chunk's arrays fit in the blocks the last one freed
+        order = sorted(range(len(targets)),
+                       key=lambda i: -targets[i].states.shape[1])
+        for start in range(0, len(order), PREDICT_CHUNK):
+            rows = order[start:start + PREDICT_CHUNK]
+            chunk = [targets[i] for i in rows]
             h_t, _, _ = self.encode_pairs(chunk)
             r_star = self.cross.attend(h_t, h_ctx, r_ctx)
             # one decoder pass for all draws: row s * k + j is draw s of
@@ -368,9 +386,9 @@ class GranpModel:
             mean_m = stats.invert_xy(pooled_mean)
             sd_m = stats.scale_xy(pooled_sd)
             samples_m = stats.invert_xy(mus)
-            results += [PredictiveDistribution(mean=mean_m[j], std=sd_m[j],
-                                               samples=samples_m[:, j])
-                        for j in range(k)]
+            for j, i in enumerate(rows):
+                results[i] = PredictiveDistribution(
+                    mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
         return results
 
     def attention_maps(self, scene: PreparedScene):

@@ -238,6 +238,52 @@ def test_predict_manifest_not_utf8_is_data_error(pipeline, tmp_path, capsys):
     assert err.startswith("error: ") and "unreadable manifest" in err
 
 
+# A finite value too large for f32 overflows when the normalized scene is
+# cast to the run's precision; it must fail closed, not print NaN.
+
+def _edited_copy(pipeline, tmp_path, edit_manifest=None, edit_archive=None):
+    data, ckpt = pipeline
+    new_data, new_ckpt = tmp_path / "data", tmp_path / "ckpt"
+    shutil.copytree(data, new_data)
+    shutil.copytree(ckpt, new_ckpt)
+    for edit, path in ((edit_manifest, new_ckpt / "manifest.json"),
+                       (edit_archive, new_data / "scenes.json")):
+        if edit is not None:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+    return new_data, new_ckpt
+
+
+def test_predict_normalization_mean_too_large_for_f32_is_data_error(
+        pipeline, tmp_path, capsys):
+    def edit(doc):
+        doc["normalization"]["mean"][0] = -1e308
+    data, ckpt = _edited_copy(pipeline, tmp_path, edit_manifest=edit)
+    assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
+    assert "overflow f32" in capsys.readouterr().err
+
+
+def test_predict_history_too_large_for_f32_is_data_error(pipeline, tmp_path,
+                                                         capsys):
+    def edit(doc):
+        scene = doc["scenes"][2]
+        scene["history"][str(scene["ego"])][0][0] = -1e308
+    data, ckpt = _edited_copy(pipeline, tmp_path, edit_archive=edit)
+    assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
+    assert "overflow f32" in capsys.readouterr().err
+
+
+def test_eval_future_too_large_for_f32_is_data_error(pipeline, tmp_path,
+                                                     capsys):
+    def edit(doc):
+        doc["scenes"][0]["future"][3][1] = 1e308
+    data, ckpt = _edited_copy(pipeline, tmp_path, edit_archive=edit)
+    assert run_cli(["eval", "--data", str(data), "--ckpt", str(ckpt),
+                    "--samples", "2", "--report", str(tmp_path / "r.json")]) == 3
+    assert "overflow f32" in capsys.readouterr().err
+
+
 # -- attention -----------------------------------------------------------------
 
 def test_attention_rows_sum_to_one_and_top3_sorted(pipeline, tmp_path, capsys):

@@ -220,6 +220,74 @@ def test_gat_seq_matches_per_step(f64):
         np.testing.assert_allclose(attn_seq[:, t], attn_t, atol=1e-12)
 
 
+def _padded_mask(counts):
+    """Scene-membership mask of a padded batch, as GranpModel._stack."""
+    n_max = max(counts)
+    real = np.arange(n_max) < np.array(counts)[:, None]
+    return (real[:, :, None] & real[:, None, :]) | np.eye(n_max, dtype=bool)
+
+
+def _gat_reference(gat, x, mask):
+    """Plain numpy GAT, one head at a time: (out, attention [heads, ...])."""
+    d = gat.out_dim
+    outs, attn = [], []
+    for w, a in zip(gat.w, gat.a):
+        wh = x @ w.data
+        e = wh @ a.data[:d] + np.swapaxes(wh @ a.data[d:], -1, -2)
+        e = np.where(e > 0, e, ad.LEAKY_SLOPE * e)
+        e = np.where(mask, e, -np.inf)
+        e = np.exp(e - e.max(axis=-1, keepdims=True))
+        alpha = e / e.sum(axis=-1, keepdims=True)
+        attn.append(alpha)
+        outs.append(alpha @ wh)
+    return np.maximum(np.mean(outs, axis=0), 0.0), np.stack(attn)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_gat_matches_per_head_reference_on_padded_batch(f64, heads):
+    gat = layers.GatLayer("g", 5, 6, heads, _rng(40 + heads))
+    mask = _padded_mask([1, 4, 7])
+    x = _rng(41).normal(size=(3,) + mask.shape[:2] + (5,))
+    out, attn = gat.forward_seq(ad.Tensor(x), mask)
+    ref_out, ref_attn = _gat_reference(gat, x, mask)
+    assert attn.shape == ref_attn.shape
+    assert attn.size == heads * 3 * mask.size
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(attn, ref_attn, rtol=0, atol=1e-12)
+
+
+def test_gat_grad_check_padded_batch(f64):
+    gat = layers.GatLayer("g", 3, 4, 2, _rng(42))
+    mask = _padded_mask([2, 1, 3])
+    x = ad.constant(_rng(43).normal(size=(2,) + mask.shape[:2] + (3,)))
+    errs = ad.grad_check(lambda: gat.forward_seq(x, mask)[0].sum(),
+                         gat.parameters())
+    assert max(errs.values()) < 1e-4
+
+
+def test_gat_parameter_names_and_shapes_are_pinned():
+    # checkpoints store one W and one score vector per head under these names
+    gat = layers.GatLayer("gat0", 5, 6, 3, _rng(44))
+    assert [(p.name, p.data.shape) for p in gat.parameters()] == [
+        ("gat0.W.h0", (5, 6)), ("gat0.a.h0", (12, 1)),
+        ("gat0.W.h1", (5, 6)), ("gat0.a.h1", (12, 1)),
+        ("gat0.W.h2", (5, 6)), ("gat0.a.h2", (12, 1))]
+
+
+def test_gat_node_sized_tape_work_does_not_grow_with_heads():
+    # every head runs in the same node-sized primitives; a per-head loop
+    # would record more nodes whose output leads with the T axis
+    t_len, counts = 7, []
+    for heads in (1, 2, 4):
+        gat = layers.GatLayer("g", 3, 4, heads, _rng(45))
+        x = ad.Tensor(_rng(46).normal(size=(t_len, 2, 5, 3)))
+        with ad.Tape() as tape:
+            gat.forward_seq(x, _padded_mask([5, 3]))
+        counts.append(sum(node.out.shape[0] == t_len for node in tape.nodes))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
+
+
 # ---------------------------------------------------------------------------
 # CrossAttention
 

@@ -391,6 +391,33 @@ def test_predict_chunking_matches_single_pass(f64, monkeypatch):
         np.testing.assert_allclose(a.std, b.std, atol=1e-10)
 
 
+def test_predict_groups_chunks_by_node_count_in_input_order(f64,
+                                                           monkeypatch):
+    rng = np.random.default_rng(14)
+    cfg = _micro_config()
+    context = [_micro_scene(rng, cfg, n) for n in (2, 3, 1)]
+    sizes = [5, 1, 3, 1, 4, 2, 5, 3, 1]
+    targets = [_micro_scene(rng, cfg, n) for n in sizes]
+    model = GranpModel(cfg, seed=3)
+    stats = _flat_stats()
+    noise = rng.standard_normal((4, cfg.latent))
+    whole = model.predict(targets, context, stats, noise=noise)
+    for target, pred in zip(targets, whole):     # input order
+        (alone,) = model.predict([target], context, stats, noise=noise)
+        np.testing.assert_allclose(pred.mean, alone.mean, rtol=0, atol=1e-12)
+    chunks = []
+    pairs = model.encode_pairs
+    monkeypatch.setattr(model, "encode_pairs", lambda sc: chunks.append(
+        [s.states.shape[1] for s in sc]) or pairs(sc))
+    monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 2)
+    pieces = model.predict(targets, context, stats, noise=noise)
+    assert chunks == [[5, 5], [4, 3], [3, 2], [1, 1], [1]]
+    for a, b in zip(whole, pieces):
+        for field in ("mean", "std", "samples"):
+            np.testing.assert_allclose(getattr(b, field), getattr(a, field),
+                                       rtol=0, atol=1e-12)
+
+
 def test_predict_handles_ego_only_scene(f64):
     rng = np.random.default_rng(13)
     cfg = _micro_config()
@@ -418,7 +445,7 @@ def test_predict_encodes_context_once_via_encode_context(monkeypatch):
     calls = _record_encodes(model, monkeypatch)
     monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 1)
     model.predict(batch.scenes[:2], batch.scenes, _flat_stats(), samples=3)
-    assert calls == ["context", 3, 1, 1]
+    assert calls == ["context", 1, 1, 1, 1, 1]
 
 
 def _copy_scene(sc):
