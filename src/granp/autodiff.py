@@ -18,16 +18,18 @@ from .errors import DataError, NumericError, ShapeError
 # ---------------------------------------------------------------------------
 # Precision configuration
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
+_DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 _precision = "f32"
+_dtype = _DTYPES[_precision]  # cached: every Tensor reads it
 
 
 def set_precision(name: str) -> None:
     """Set the global floating-point precision ("f32" or "f64")."""
-    global _precision
+    global _precision, _dtype
     if name not in _DTYPES:
         raise DataError(f"unknown precision {name!r}; expected 'f32' or 'f64'")
     _precision = name
+    _dtype = _DTYPES[name]
 
 
 def get_precision() -> str:
@@ -36,7 +38,7 @@ def get_precision() -> str:
 
 def dtype() -> np.dtype:
     """Numpy dtype for the current global precision."""
-    return np.dtype(_DTYPES[_precision])
+    return _dtype
 
 
 @contextlib.contextmanager
@@ -59,7 +61,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=dtype())
+        self.data = np.asarray(data, dtype=_dtype)
         self.requires_grad = requires_grad
 
     @property
@@ -280,31 +282,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def _im2col(xt: np.ndarray, k: int) -> np.ndarray:
+    """Columns of a time-major padded input [B, T + k - 1, C]: [B·T, C·k],
+    row b·T + t holding the k-tap window at t of every channel, channel-major.
+    Built from k shifted slices, the mirror of the backward's slice-adds."""
+    b, tp, c = xt.shape
+    t = tp - k + 1
+    cols = np.empty((b, t, c, k), dtype=xt.dtype)
+    for dk in range(k):
+        cols[..., dk] = xt[:, dk:dk + t]
+    return cols.reshape(b * t, c * k)
+
+
 def conv1d(x: Tensor, w: Tensor) -> Tensor:
     """1-D convolution, zero same-padding, stride 1.
 
     x: [batch, in_channels, T]; w: [out_channels, in_channels, k].
     Output: [batch, out_channels, T] (length preserved exactly).
+
+    Lowered to one GEMM per pass (im2col): the forward and each gradient
+    multiply the [B·T, C·k] window columns by the [O, C·k] flattened kernel.
     """
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D x and w, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: channel mismatch between x {x.shape} and w {w.shape}")
-    k = w.shape[2]
-    t = x.shape[2]
+    b, c, t = x.shape
+    o, _, k = w.shape
     pad_l = (k - 1) // 2
-    pad_r = k - 1 - pad_l
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_l, pad_r)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # [B, C, T, k]
-    out = Tensor(np.einsum("bctk,ock->bot", win, w.data, optimize=True))
+    xt = np.zeros((b, t + k - 1, c), dtype=x.data.dtype)
+    xt[:, pad_l:pad_l + t] = x.data.transpose(0, 2, 1)
+    w2 = w.data.reshape(o, c * k)
+    out = Tensor((_im2col(xt, k) @ w2.T).reshape(b, t, o).transpose(0, 2, 1))
 
     def bwd(g):
-        gw = np.einsum("bot,bctk->ock", g, win, optimize=True)
-        gxp = np.zeros_like(xp)
+        # cols is rebuilt from xt, not kept: on the tape it would hold k
+        # copies of the input from the forward pass until this runs
+        g_rows = g.transpose(0, 2, 1).reshape(b * t, o)
+        gw = (g_rows.T @ _im2col(xt, k)).reshape(o, c, k)
+        gcols = (g_rows @ w2).reshape(b, t, c, k)
+        gxt = np.zeros_like(xt)
         for dk in range(k):
-            gxp[:, :, dk:dk + t] += np.einsum("bot,oc->bct", g, w.data[:, :, dk], optimize=True)
-        gx = gxp[:, :, pad_l:pad_l + t]
-        return gx, gw
+            gxt[:, dk:dk + t] += gcols[..., dk]
+        return gxt[:, pad_l:pad_l + t].transpose(0, 2, 1), gw
 
     return _record(out, (x, w), bwd)
 

@@ -84,6 +84,78 @@ def test_conv1d_preserves_length():
         assert ad.conv1d(x, w).shape == (1, 4, t)
 
 
+def _conv1d_loop(x, w, g):
+    """Loop reference for conv1d with zero same-padding, pad_l = (k-1)//2:
+    the output, and the gradients of sum(out * g) for x and w."""
+    b, c, t = x.shape
+    o, _, k = w.shape
+    pad_l = (k - 1) // 2
+    out, gx, gw = np.zeros((b, o, t)), np.zeros(x.shape), np.zeros(w.shape)
+    for bi in range(b):
+        for oi in range(o):
+            for ti in range(t):
+                for ci in range(c):
+                    for dk in range(k):
+                        src = ti + dk - pad_l
+                        if 0 <= src < t:
+                            out[bi, oi, ti] += x[bi, ci, src] * w[oi, ci, dk]
+                            gx[bi, ci, src] += g[bi, oi, ti] * w[oi, ci, dk]
+                            gw[oi, ci, dk] += g[bi, oi, ti] * x[bi, ci, src]
+    return out, gx, gw
+
+
+def _conv1d_taped(x, w, g):
+    px, pw = ad.Parameter("x", x), ad.Parameter("w", w)
+    with ad.Tape() as tape:
+        out = ad.conv1d(px.tensor, pw.tensor)
+        root = ad.reduce_sum(ad.mul(out, ad.constant(g)))
+    grads = ad.backward(tape, root, [px, pw])
+    return out.data, grads["x"], grads["w"]
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_conv1d_matches_loop_reference(k, b, f64):
+    rng = np.random.default_rng(10 * k + b)
+    for t in (7, max(k - 1, 1)):    # the second is T < k for every k > 1
+        x = rng.normal(size=(b, 2, t))
+        w = rng.normal(size=(3, 2, k))
+        g = rng.normal(size=(b, 3, t))
+        for got, want in zip(_conv1d_taped(x, w, g), _conv1d_loop(x, w, g)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv1d_f32_stays_f32():
+    rng = np.random.default_rng(12)
+    x, w, g = (rng.normal(size=s) for s in ((2, 3, 6), (4, 3, 3), (2, 4, 6)))
+    got = _conv1d_taped(x, w, g)
+    assert [a.dtype for a in got] == [np.float32] * 3
+    for a, want in zip(got, _conv1d_loop(x, w, g)):
+        np.testing.assert_allclose(a, want, rtol=1e-4, atol=1e-4)
+
+
+def test_conv1d_shape_errors():
+    with pytest.raises(ShapeError, match="conv1d: expected 3-D"):
+        ad.conv1d(ad.Tensor(np.zeros((2, 6))), ad.Tensor(np.zeros((4, 2, 3))))
+    with pytest.raises(ShapeError, match="conv1d: channel mismatch"):
+        ad.conv1d(ad.Tensor(np.zeros((1, 2, 6))), ad.Tensor(np.zeros((4, 3, 3))))
+
+
+def test_conv1d_runs_without_einsum_or_pad(f64, monkeypatch):
+    # conv1d is one GEMM per pass; a per-tap einsum or an np.pad copy in
+    # the forward or backward would fail here
+    def banned(*args, **kwargs):
+        raise AssertionError("conv1d must not call np.einsum or np.pad")
+
+    monkeypatch.setattr(np, "einsum", banned)
+    monkeypatch.setattr(np, "pad", banned)
+    rng = np.random.default_rng(13)
+    x, w, g = (rng.normal(size=s) for s in ((3, 4, 9), (5, 4, 3), (3, 5, 9)))
+    for got, want in zip(_conv1d_taped(x, w, g), _conv1d_loop(x, w, g)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_backward_square_sum():
     p = ad.Parameter("x", [3.0])
     x = p.tensor
@@ -242,3 +314,17 @@ def test_precision_switch_changes_dtype():
     with ad.precision("f64"):
         assert ad.Tensor([1.0]).data.dtype == np.float64
     assert ad.Tensor([1.0]).data.dtype == np.float32
+    with ad.precision("f32"):
+        with ad.precision("f64"):
+            assert ad.dtype() == np.float64
+            assert ad.Tensor([1.0]).data.dtype == np.float64
+        assert ad.dtype() == np.float32
+        assert ad.Tensor([1.0]).data.dtype == np.float32
+
+
+def test_unknown_precision_leaves_precision_and_dtype(f64):
+    with pytest.raises(DataError, match="unknown precision"):
+        ad.set_precision("f16")
+    assert ad.get_precision() == "f64"
+    assert ad.dtype() == np.float64
+    assert ad.Tensor([1.0]).data.dtype == np.float64

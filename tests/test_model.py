@@ -323,6 +323,77 @@ def test_elbo_full_model_gradcheck(f64):
     assert max(errs.values()) < 1e-4
 
 
+# The worst entries of the check above, on inputs drawn from other seeds
+# (scenes from default_rng(seed) without the position draw), are gradients of
+# about 1e-7 on an objective of about 6-11. At h = 1e-5 the evaluation noise,
+# about eps·|f|/h ≈ 1e-10 absolute, is around 1e-3 of such an entry; at
+# h = 1e-3 central differences resolve it. (seed, parameter, flat index,
+# analytic gradient)
+SUB_NOISE_ENTRIES = [
+    (5, "lat.conv0.W", 218, 3.327341e-07),
+    (6, "lat.conv2.W", 91, -4.009612e-07),
+    (7, "lat.conv0.W", 148, -1.314182e-07),
+    (8, "lstm.Wx", 28, -5.043225e-07),
+]
+
+
+@pytest.mark.parametrize("seed,name,index,value", SUB_NOISE_ENTRIES)
+def test_elbo_sub_noise_gradients_match_wider_step(seed, name, index, value, f64):
+    cfg = ModelConfig(hidden=8, heads=2, t_n=4, t_f=3)
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for _ in range(2):
+        future = rng.normal(size=(cfg.t_f, 2))
+        scenes.append(PreparedScene(ids=(0,), states=rng.normal(size=(cfg.t_n, 1, 4)),
+                                    future=future))
+    batch = PreparedBatch(scenes=scenes, m=1)
+    model = GranpModel(cfg, seed=0)
+    prng = np.random.default_rng(24)
+    for p in model.parameters():
+        p.data = prng.uniform(-0.5, 0.5, size=p.data.shape)
+    noise = np.random.default_rng(7).standard_normal(cfg.latent)
+    with Tape() as tape:
+        loss, _ = model.elbo_loss(batch, noise)
+    analytic = backward(tape, loss, model.parameters())[name].reshape(-1)[index]
+    np.testing.assert_allclose(analytic, value, rtol=1e-5)
+
+    flat = {p.name: p for p in model.parameters()}[name].data.reshape(-1)
+    h, orig = 1e-3, flat[index]
+    flat[index] = orig + h
+    f_plus = model.elbo_loss(batch, noise)[0].item()
+    flat[index] = orig - h
+    f_minus = model.elbo_loss(batch, noise)[0].item()
+    flat[index] = orig
+    fd = (f_plus - f_minus) / (2.0 * h)
+    assert abs(analytic - fd) < 1e-4 * abs(fd)
+
+
+def test_f32_elbo_step_keeps_every_gradient_f32():
+    scenes = synth_scenes(8, seed=3, mix=0.5)
+    stats = NormalizationStats.fit(scenes)
+    batch = PreparedBatch(scenes=[prepare_scene(s, stats) for s in scenes], m=3)
+    cfg = ModelConfig(hidden=16, heads=2)
+    model = GranpModel(cfg, seed=1)
+    noise = np.random.default_rng(2).standard_normal(cfg.latent)
+    with Tape() as tape:
+        loss, _ = model.elbo_loss(batch, noise)
+    seen = []
+
+    def recording(bwd):
+        def wrapped(g):
+            grads = bwd(g)
+            seen.extend(ig.dtype for ig in grads if ig is not None)
+            return grads
+        return wrapped
+
+    for node in tape.nodes:
+        assert node.out.data.dtype == np.float32
+        node.bwd = recording(node.bwd)
+    grads = backward(tape, loss, model.parameters())
+    assert seen and set(seen) == {np.dtype(np.float32)}
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
 # -- prediction ----------------------------------------------------------------
 
 def test_predict_interval_arithmetic(f64):
