@@ -148,6 +148,16 @@ def sample_latent(dist: LatentDistribution, noise) -> Tensor:
     return dist.mu + dist.sigma * eps
 
 
+def _chunks(scenes):
+    """Yield (rows, chunk): at most PREDICT_CHUNK scenes grouped by node
+    count, largest first (stable), so no chunk pads to one large scene."""
+    order = sorted(range(len(scenes)),
+                   key=lambda i: -scenes[i].states.shape[1])
+    for start in range(0, len(order), PREDICT_CHUNK):
+        rows = order[start:start + PREDICT_CHUNK]
+        yield rows, [scenes[i] for i in rows]
+
+
 class GranpModel:
 
     def __init__(self, config: ModelConfig, seed=0):
@@ -273,14 +283,13 @@ class GranpModel:
                                     for a in arrays]
 
     def _encode_context(self, context):
-        # the GAT holds every head's attention at once, so the context
-        # encodes in PREDICT_CHUNK-scene slices, as predict's targets do
-        parts = [self.encode_pairs(context[i:i + PREDICT_CHUNK])[:2]
-                 for i in range(0, len(context), PREDICT_CHUNK)]
+        # chunked as the targets are: the GAT holds every head's attention
+        chunks = [chunk for _, chunk in _chunks(context)]
+        parts = [self.encode_pairs(chunk)[:2] for chunk in chunks]
         h_ctx = ad.concat([h for h, _ in parts], axis=0)
         ego_ctx = ad.concat([ego for _, ego in parts], axis=1)
-        feats = self.pair_features(ego_ctx,
-                                   np.stack([sc.future for sc in context]))
+        feats = self.pair_features(ego_ctx, np.stack(
+            [sc.future for chunk in chunks for sc in chunk]))
         r_ctx = self.enc_det.encode(feats)
         prior = self.latent_path(self.enc_lat.encode(feats))
         return h_ctx, r_ctx, prior
@@ -352,37 +361,16 @@ class GranpModel:
             rng = np.random.default_rng(seed)
             noise = rng.standard_normal((samples, self.config.latent))
         noise = np.asarray(noise)
-        if noise.ndim != 2 or noise.shape[1] != self.config.latent:
+        if noise.shape[1:] != (self.config.latent,) or len(noise) == 0:
             raise ShapeError(f"predict: noise {noise.shape}, expected "
-                             f"[S, {self.config.latent}]")
-        h_ctx, r_ctx, prior = self.encode_context(list(context))
-        n_draws = len(noise)
-        z = sample_latent(prior, noise)                     # [S, latent]
+                             f"[S, {self.config.latent}] with S >= 1")
         targets = list(targets)
         results = [None] * len(targets)
-        # targets stream through in chunks of bounded memory, grouped by
-        # node count so that no chunk is padded to one large scene; largest
-        # first, so each chunk's arrays fit in the blocks the last one freed
-        order = sorted(range(len(targets)),
-                       key=lambda i: -targets[i].states.shape[1])
-        for start in range(0, len(order), PREDICT_CHUNK):
-            rows = order[start:start + PREDICT_CHUNK]
-            chunk = [targets[i] for i in rows]
-            h_t, _, _ = self.encode_pairs(chunk)
-            r_star = self.cross.attend(h_t, h_ctx, r_ctx)
-            # one decoder pass for all draws: row s * k + j is draw s of
-            # target j
-            k = len(chunk)
-            mu, sigma = self.decode(
-                ad.constant(np.tile(h_t.data, (n_draws, 1))),
-                ad.constant(np.tile(r_star.data, (n_draws, 1))),
-                ad.constant(np.repeat(z.data, k, axis=0)))
-            shape = (n_draws, k, self.config.t_f, 2)
-            mus = mu.data.reshape(shape).astype(np.float64)
-            sig2 = np.square(sigma.data).reshape(shape).sum(axis=0,
-                                                            dtype=np.float64)
+        for rows, mus, sigmas in self.decode_targets(targets, context, noise):
+            mus = mus.astype(np.float64)
+            sig2 = np.square(sigmas).mean(axis=0, dtype=np.float64)
             pooled_mean = mus.mean(axis=0)
-            pooled_sd = np.sqrt(sig2 / n_draws + mus.var(axis=0))
+            pooled_sd = np.sqrt(sig2 + mus.var(axis=0))
             mean_m = stats.invert_xy(pooled_mean)
             sd_m = stats.scale_xy(pooled_sd)
             samples_m = stats.invert_xy(mus)
@@ -390,6 +378,24 @@ class GranpModel:
                 results[i] = PredictiveDistribution(
                     mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
         return results
+
+    def decode_targets(self, targets, context, noise):
+        """Encode the context and draw z from its prior (a row per noise row)
+        once, then yield (rows, mu, sigma) per target chunk: [S, k, t_f, 2]
+        arrays in normalized units, all S draws decoded in one pass."""
+        h_ctx, r_ctx, prior = self.encode_context(list(context))
+        z = sample_latent(prior, noise)                     # [S, latent]
+        n_draws = z.shape[0]
+        for rows, chunk in _chunks(targets):
+            h_t = self.encode_pairs(chunk)[0]
+            r_star = self.cross.attend(h_t, h_ctx, r_ctx)
+            # row s * k + j is draw s of target j
+            mu, sigma = self.decode(
+                ad.constant(np.tile(h_t.data, (n_draws, 1))),
+                ad.constant(np.tile(r_star.data, (n_draws, 1))),
+                ad.constant(np.repeat(z.data, len(chunk), axis=0)))
+            shape = (n_draws, len(chunk), self.config.t_f, 2)
+            yield rows, mu.data.reshape(shape), sigma.data.reshape(shape)
 
     def attention_maps(self, scene: PreparedScene):
         """Per-layer attention over one scene: list of [heads, t_n, n, n]."""

@@ -17,7 +17,7 @@ from .data import (NormalizationStats, TARGET_HZ, make_episode,
 from .errors import DataError, FormatError, NumericError
 from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
                     PredictiveDistribution, STATE_FEATURES, gaussian_nll,
-                    prepare_scene, sample_latent)
+                    prepare_scene)
 
 CHECKPOINT_VERSION = 1
 # params.bin element type per manifest "precision"
@@ -100,14 +100,11 @@ class TrainResult:
 def validation_nll(model: GranpModel, val_prepared, ref_prepared) -> float:
     """Deterministic held-out reconstruction NLL per target per step,
     normalized units: z is the context-prior mean (zero noise)."""
-    h_ctx, r_ctx, prior = model.encode_context(ref_prepared)
-    z = sample_latent(prior, np.zeros(model.config.latent))
-    h_t, _, _ = model.encode_pairs(val_prepared)
-    r_star = model.cross.attend(h_t, h_ctx, r_ctx)
-    mu, sigma = model.decode(h_t, r_star, z)
-    y = np.stack([sc.future for sc in val_prepared])
-    nll = gaussian_nll(y, mu.data, sigma.data)
-    return float(nll.sum() / (len(val_prepared) * model.config.t_f))
+    stream = model.decode_targets(val_prepared, ref_prepared,
+                                  np.zeros((1, model.config.latent)))
+    total = sum(gaussian_nll(np.stack([val_prepared[i].future for i in rows]),
+                             mu, sigma).sum() for rows, mu, sigma in stream)
+    return float(total / (len(val_prepared) * model.config.t_f))
 
 
 def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> TrainResult:
@@ -229,6 +226,8 @@ def _horizon_steps(t_f: int):
 def metrics_from_predictions(predictions, futures_m, t_f: int) -> EvalReport:
     """Per-horizon RMSE of the pooled mean and NLL of the truth under the
     pooled per-axis Gaussians, both in meters."""
+    if not predictions:
+        raise DataError("metrics: no predictions")
     steps = _horizon_steps(t_f)
     mean = np.stack([p.mean for p in predictions])      # [N, t_f, 2]
     sd = np.stack([p.std for p in predictions])

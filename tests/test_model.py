@@ -8,7 +8,8 @@ from granp.data import NormalizationStats, synth_scenes
 from granp.errors import DataError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          LatentDistribution, ModelConfig, PreparedBatch,
-                         PreparedScene, kl_diag, prepare_scene, sample_latent)
+                         PreparedScene, gaussian_nll, kl_diag, prepare_scene,
+                         sample_latent)
 from granp.scene_graph import GRID, build_adjacency, select_grid_nodes
 from granp.training import validation_nll
 
@@ -667,6 +668,35 @@ def test_validation_nll_encodes_context_once_via_encode_context(monkeypatch):
     assert calls == ["context", 3, 1]
 
 
+def test_validation_nll_streams_chunks_by_node_count(f64, monkeypatch):
+    rng = np.random.default_rng(16)
+    cfg = _micro_config()
+    context = [_micro_scene(rng, cfg, n) for n in (2, 4, 1, 3, 4)]
+    val = [_micro_scene(rng, cfg, n) for n in (5, 1, 3, 1, 4, 2, 5, 3, 1)]
+    model = GranpModel(cfg, seed=3)
+    h_ctx, r_ctx, prior = model.encode_context(context)
+    h_t, _, _ = model.encode_pairs(val)                 # one batch
+    mu, sigma = model.decode(h_t, model.cross.attend(h_t, h_ctx, r_ctx),
+                             sample_latent(prior, np.zeros(cfg.latent)))
+    y = np.stack([sc.future for sc in val])
+    expected = (gaussian_nll(y, mu.data, sigma.data).sum()
+                / (len(val) * cfg.t_f))
+
+    monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 2)
+    fresh = GranpModel(cfg, seed=3)     # a memo miss: the context encodes too
+    chunks = []
+    pairs = fresh.encode_pairs
+    monkeypatch.setattr(fresh, "encode_pairs", lambda sc: chunks.append(
+        [s.states.shape[1] for s in sc]) or pairs(sc))
+    value = validation_nll(fresh, val, context)
+    # three context chunks of at most 2, then the targets
+    for calls, scenes in ((chunks[:3], context), (chunks[3:], val)):
+        assert all(len(c) <= 2 for c in calls)
+        assert [n for c in calls for n in c] == sorted(
+            (sc.states.shape[1] for sc in scenes), reverse=True)
+    assert value == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_predict_argument_validation():
     cfg, batch = _micro_batch(seed=2)
     model = GranpModel(cfg, seed=3)
@@ -678,6 +708,9 @@ def test_predict_argument_validation():
     with pytest.raises(ShapeError, match="noise"):
         model.predict(batch.scenes, batch.scenes, stats,
                       noise=np.zeros(cfg.latent))
+    with pytest.raises(ShapeError, match="noise"):       # no draws to pool
+        model.predict(batch.scenes, batch.scenes, stats,
+                      noise=np.zeros((0, cfg.latent)))
     headless = PreparedScene(ids=batch.scenes[0].ids,
                              states=batch.scenes[0].states,
                              future=None)

@@ -223,6 +223,13 @@ def test_metrics_reject_short_future():
         metrics_from_predictions(preds, futures, 20)
 
 
+def test_metrics_reject_empty_input():
+    with pytest.raises(DataError, match="no predictions"):
+        metrics_from_predictions([], [], T_F)
+    with pytest.raises(DataError, match="no predictions"):
+        baseline_report([])
+
+
 def test_eval_report_json_shape():
     preds, futures = _flat_predictions(2)
     doc = json.loads(metrics_from_predictions(preds, futures, T_F).to_json())
