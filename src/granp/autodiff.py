@@ -387,20 +387,8 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-    if axis is None:
-        count = x.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.shape[a] for a in axis]))
-    else:
-        count = x.shape[axis]
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
-
-    return _record(out, (x,), bwd)
+    total = reduce_sum(x, axis=axis, keepdims=keepdims)
+    return total / (x.size // max(total.size, 1))
 
 
 def exp(x: Tensor) -> Tensor:

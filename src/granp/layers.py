@@ -90,12 +90,11 @@ class LstmEncoder:
         for t in range(t_len):
             x_t = seq[t]
             z = ad.matmul(x_t, self.w_x.tensor) + ad.matmul(h, self.w_h.tensor) + self.b.tensor
-            i = ad.sigmoid(z[:, 0 * hs:1 * hs])
-            f = ad.sigmoid(z[:, 1 * hs:2 * hs])
+            # one sigmoid for the i, f, o gates; its g block goes unused
+            gates = ad.sigmoid(z)
             g = ad.tanh(z[:, 2 * hs:3 * hs])
-            o = ad.sigmoid(z[:, 3 * hs:4 * hs])
-            c = f * c + i * g
-            h = o * ad.tanh(c)
+            c = gates[:, hs:2 * hs] * c + gates[:, :hs] * g
+            h = gates[:, 3 * hs:] * ad.tanh(c)
         return h
 
 
@@ -232,15 +231,12 @@ class CrossAttention:
         if queries.shape[-1] != self.dim or keys.shape[-1] != self.dim:
             raise ShapeError(
                 f"cross_attend: expected feature dim {self.dim}, got {queries.shape} / {keys.shape}")
-        q = ad.matmul(queries, self.w_q.tensor)
-        k = ad.matmul(keys, self.w_k.tensor)
-        v = ad.matmul(values, self.w_v.tensor)
-        scale = ad.constant(1.0 / np.sqrt(self.head_dim))
-        outs = []
-        for h in range(self.heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            scores = ad.matmul(q[:, lo:hi], ad.transpose(k[:, lo:hi])) * scale
-            alpha = ad.softmax_rows(scores)
-            outs.append(ad.matmul(alpha, v[:, lo:hi]))
-        merged = ad.concat(outs, axis=1)
+        n_q, n_kv = queries.shape[0], keys.shape[0]
+        heads, hd = self.heads, self.head_dim
+        # every head in one pass: q [H, k, hd], k^T [H, hd, m], v [H, m, hd]
+        q = ad.transpose(ad.matmul(queries, self.w_q.tensor).reshape((n_q, heads, hd)), (1, 0, 2))
+        k = ad.transpose(ad.matmul(keys, self.w_k.tensor).reshape((n_kv, heads, hd)), (1, 2, 0))
+        v = ad.transpose(ad.matmul(values, self.w_v.tensor).reshape((n_kv, heads, hd)), (1, 0, 2))
+        alpha = ad.softmax_rows(ad.matmul(q, k) * ad.constant(1.0 / np.sqrt(hd)))  # [H, k, m]
+        merged = ad.transpose(ad.matmul(alpha, v), (1, 0, 2)).reshape((n_q, self.dim))
         return ad.matmul(merged, self.w_o.tensor)

@@ -228,6 +228,9 @@ def metrics_from_predictions(predictions, futures_m, t_f: int) -> EvalReport:
     pooled per-axis Gaussians, both in meters."""
     if not predictions:
         raise DataError("metrics: no predictions")
+    if len(predictions) != len(futures_m):
+        raise DataError(f"metrics: {len(predictions)} predictions but "
+                        f"{len(futures_m)} futures")
     steps = _horizon_steps(t_f)
     mean = np.stack([p.mean for p in predictions])      # [N, t_f, 2]
     sd = np.stack([p.std for p in predictions])

@@ -6,6 +6,7 @@ import pytest
 
 from granp import autodiff as ad
 from granp.errors import DataError, ShapeError
+from granp.verification import _primitive_cases
 
 
 def test_matmul_identity():
@@ -218,47 +219,13 @@ def test_shared_input_accumulates():
 # Finite-difference agreement, every primitive, 10 seeds each
 
 
-def _fd_cases(seed):
-    """One scalar objective per primitive, driven by a single Parameter."""
-    rng = np.random.default_rng(seed)
-    w = ad.Parameter("w", rng.normal(size=(3, 4)))
-    aux = ad.constant(rng.normal(size=(3, 4)) + 2.5)  # keeps div/log well away from 0
-    m = ad.constant(rng.normal(size=(4, 5)))
-    cw = ad.Parameter("cw", rng.normal(size=(2, 3, 3)) * 0.5)
-    cx = ad.constant(rng.normal(size=(2, 3, 6)))
-    t = w.tensor
-    cases = {
-        "add": (lambda: ad.reduce_sum(ad.mul(ad.add(t, aux), aux)), [w]),
-        "sub": (lambda: ad.reduce_sum(ad.mul(ad.sub(t, aux), aux)), [w]),
-        "mul": (lambda: ad.reduce_sum(ad.mul(ad.mul(t, aux), aux)), [w]),
-        "div": (lambda: ad.reduce_sum(ad.div(t, aux)), [w]),
-        "matmul": (lambda: ad.reduce_sum(ad.tanh(ad.matmul(t, m))), [w]),
-        "conv1d": (lambda: ad.reduce_sum(ad.tanh(ad.conv1d(cx, cw.tensor))), [cw]),
-        "concat": (lambda: ad.reduce_sum(ad.tanh(ad.concat([t, aux], axis=1))), [w]),
-        "slice": (lambda: ad.reduce_sum(ad.mul(t[1:, :2], t[1:, :2])), [w]),
-        "reshape": (lambda: ad.reduce_sum(ad.tanh(ad.reshape(t, (4, 3)))), [w]),
-        "transpose": (lambda: ad.reduce_sum(ad.tanh(ad.matmul(ad.transpose(t), t))), [w]),
-        "sum": (lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(t, axis=1))), [w]),
-        "mean": (lambda: ad.reduce_sum(ad.tanh(ad.reduce_mean(t, axis=0))), [w]),
-        "exp": (lambda: ad.reduce_sum(ad.exp(ad.mul(t, ad.constant(0.3)))), [w]),
-        "log": (lambda: ad.reduce_sum(ad.log(ad.add(ad.mul(t, t), ad.constant(1.0)))), [w]),
-        "sigmoid": (lambda: ad.reduce_sum(ad.sigmoid(t)), [w]),
-        "tanh": (lambda: ad.reduce_sum(ad.tanh(t)), [w]),
-        "relu": (lambda: ad.reduce_sum(ad.mul(ad.relu(t), aux)), [w]),
-        "leaky_relu": (lambda: ad.reduce_sum(ad.mul(ad.leaky_relu(t), aux)), [w]),
-        "softplus": (lambda: ad.reduce_sum(ad.softplus(t)), [w]),
-        "softmax_rows": (lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(t), aux)), [w]),
-    }
-    return cases
-
-
-ALL_PRIMITIVES = sorted(_fd_cases(0).keys())
+ALL_PRIMITIVES = sorted(_primitive_cases(np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("kind", ALL_PRIMITIVES)
 def test_primitive_gradients_match_finite_differences(kind, f64):
     for seed in range(10):
-        fn, params = _fd_cases(seed)[kind]
+        fn, params = _primitive_cases(np.random.default_rng(seed))[kind]
         errs = ad.grad_check(fn, params)
         worst = max(errs.values())
         assert worst < 1e-4, f"{kind} seed {seed}: rel err {worst:.3e}"

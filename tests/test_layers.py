@@ -73,6 +73,24 @@ def test_lstm_single_step_matches_cell(f64):
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def test_lstm_records_fewer_nodes_per_step_than_per_gate_sigmoids():
+    # one sigmoid over [B, 4h] serves i, f and o: 16 nodes a step; four
+    # gate slices and three gate sigmoids take 18
+    t_len = 6
+    enc = layers.LstmEncoder("l", 3, 4, _rng(10))
+    seq = ad.Tensor(_rng(11).normal(size=(t_len, 2, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        enc.encode(seq)
+    assert len(tape) < 18 * t_len
+
+
+def test_lstm_parameter_names_and_shapes_are_pinned():
+    enc = layers.LstmEncoder("lstm", 3, 4, _rng(12))
+    assert [(p.name, p.data.shape) for p in enc.parameters()] == [
+        ("lstm.Wx", (3, 16)), ("lstm.Wh", (4, 16)), ("lstm.b", (16,))]
+    np.testing.assert_array_equal(enc.b.data, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
+
+
 def test_lstm_rejects_empty_sequence():
     enc = layers.LstmEncoder("l", 3, 4, _rng(7))
     with pytest.raises(DataError):
@@ -311,6 +329,43 @@ def test_cross_attention_context_permutation_invariance(f64):
         perm = rng.permutation(5)
         out_p = att.attend(q, ad.Tensor(kv[perm]), ad.Tensor(kv[perm]))
         np.testing.assert_allclose(out_p.data, out.data, atol=1e-6)
+
+
+def _cross_reference(att, queries, keys, values):
+    """Plain numpy multi-head attention, one head at a time."""
+    q, k, v = queries @ att.w_q.data, keys @ att.w_k.data, values @ att.w_v.data
+    outs = []
+    for h in range(att.heads):
+        cols = slice(h * att.head_dim, (h + 1) * att.head_dim)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(att.head_dim)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outs, axis=1) @ att.w_o.data
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_cross_attention_matches_per_head_reference(f64, heads):
+    att = layers.CrossAttention("x", 16, heads, _rng(34 + heads))
+    rng = _rng(35)
+    q, k, v = (rng.normal(size=(n, 16)) for n in (3, 5, 5))
+    out = att.attend(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v))
+    np.testing.assert_allclose(out.data, _cross_reference(att, q, k, v),
+                               rtol=0, atol=1e-12)
+
+
+def test_cross_attention_tape_does_not_grow_with_heads():
+    # every head runs in the same batched primitives; a per-head loop
+    # records three slices, a softmax and two matmuls more per head
+    counts = []
+    for heads in (1, 2, 4, 8):
+        att = layers.CrossAttention("x", 16, heads, _rng(36))
+        rng = _rng(37)
+        with ad.Tape() as tape:
+            att.attend(ad.Tensor(rng.normal(size=(3, 16))),
+                       ad.Tensor(rng.normal(size=(5, 16))),
+                       ad.Tensor(rng.normal(size=(5, 16))))
+        counts.append(len(tape))
+    assert counts == [counts[0]] * 4
 
 
 def test_cross_attention_rejects_empty_context():

@@ -12,6 +12,7 @@ from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          sample_latent)
 from granp.scene_graph import GRID, build_adjacency, select_grid_nodes
 from granp.training import validation_nll
+from granp.verification import _elbo_case
 
 
 def _dist(mu, sigma):
@@ -310,17 +311,8 @@ def test_elbo_full_model_gradcheck(f64):
     # noise floor; randomized parameters keep the ReLU stack off the kinks
     # that zero-initialized biases would otherwise sit on. Multi-node
     # attention gradients are covered by the per-layer checks.
-    cfg = ModelConfig(hidden=8, heads=2, t_n=4, t_f=3)
-    rng = np.random.default_rng(5)
-    scenes = [_micro_scene(rng, cfg, 1) for _ in range(2)]
-    batch = PreparedBatch(scenes=scenes, m=1)
-    model = GranpModel(cfg, seed=0)
-    prng = np.random.default_rng(24)
-    for p in model.parameters():
-        p.data = prng.uniform(-0.5, 0.5, size=p.data.shape)
-    noise = np.random.default_rng(7).standard_normal(cfg.latent)
-    errs = grad_check(lambda: model.elbo_loss(batch, noise)[0],
-                      model.parameters())
+    objective, params = _elbo_case()
+    errs = grad_check(objective, params)
     assert max(errs.values()) < 1e-4
 
 

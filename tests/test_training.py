@@ -230,6 +230,15 @@ def test_metrics_reject_empty_input():
         baseline_report([])
 
 
+@pytest.mark.parametrize("n_futures", [1, 3])
+def test_metrics_reject_count_mismatch(n_futures):
+    # one future must not be scored against both predictions, and three
+    # must not reach numpy's broadcasting
+    preds, futures = _flat_predictions(3)
+    with pytest.raises(DataError, match=rf"2 predictions but {n_futures} futures"):
+        metrics_from_predictions(preds[:2], futures[:n_futures], T_F)
+
+
 def test_eval_report_json_shape():
     preds, futures = _flat_predictions(2)
     doc = json.loads(metrics_from_predictions(preds, futures, T_F).to_json())
