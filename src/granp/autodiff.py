@@ -92,9 +92,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, constant(other))
 
-    def __rsub__(self, other):
-        return sub(constant(other), self)
-
     def __mul__(self, other):
         return mul(self, constant(other))
 
@@ -104,23 +101,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, constant(other))
 
-    def __rtruediv__(self, other):
-        return div(constant(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, constant(other))
-
-    def __neg__(self):
-        return mul(self, constant(-1.0))
-
     def __getitem__(self, key):
         return slice_(self, key)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -429,9 +414,15 @@ def softplus(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g / (1.0 + np.exp(-x.data)),))
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis; each row sums to 1."""
-    e = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax_rows(x: Tensor, mask=None) -> Tensor:
+    """Softmax along the last axis; each row sums to 1.
+
+    ``mask`` is a boolean array that broadcasts to x's shape: False entries
+    are set to -inf before the row max, so they come out exactly 0 and pass
+    no gradient.  Every row needs at least one True entry.
+    """
+    e = x.data.copy() if mask is None else np.where(mask, x.data, -np.inf)
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)        # in place: the widest temporary is the output
     e /= e.sum(axis=-1, keepdims=True)
     out = Tensor(e)

@@ -61,7 +61,6 @@ class TrajectoryScene:
     ego: int
     history: dict           # vehicle id -> [T_N, 4] of (x, y, s, a)
     future: np.ndarray      # [T_F, 2] of (x, y)
-    rate_hz: int = TARGET_HZ
 
     def __post_init__(self):
         if self.ego not in self.history:

@@ -13,23 +13,10 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DataError, ShapeError
 
-MASK_NEG = 1e9  # additive penalty that underflows exp() for masked pairs
-
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Row softmax restricted to mask > 0; masked entries come out exactly 0.
-
-    Masked scores are lowered by MASK_NEG before the softmax, so their
-    exponentials underflow to zero while gradients stay exact for the rest.
-    Every row must have at least one unmasked entry.
-    """
-    penalty = ad.constant(np.where(mask > 0, 0.0, -MASK_NEG))
-    return ad.softmax_rows(scores + penalty)
 
 
 class MlpBlock:
@@ -85,11 +72,13 @@ class LstmEncoder:
         if t_len == 0:
             raise DataError("lstm_encode: empty sequence")
         hs = self.hidden_size
+        # the input projection does not depend on the recurrence: one GEMM
+        # over every step, so only h @ Wh stays in the loop
+        xw = ad.matmul(seq, self.w_x.tensor) + self.b.tensor   # [T, batch, 4h]
         h = ad.constant(np.zeros((batch, hs)))
         c = ad.constant(np.zeros((batch, hs)))
         for t in range(t_len):
-            x_t = seq[t]
-            z = ad.matmul(x_t, self.w_x.tensor) + ad.matmul(h, self.w_h.tensor) + self.b.tensor
+            z = xw[t] + ad.matmul(h, self.w_h.tensor)
             # one sigmoid for the i, f, o gates; its g block goes unused
             gates = ad.sigmoid(z)
             g = ad.tanh(z[:, 2 * hs:3 * hs])
@@ -170,9 +159,10 @@ class GatLayer:
         """Batched form: nodes [T, ..., n, in_dim] -> [T, ..., n, out_dim].
 
         ``mask`` is [..., n, n], entries > 0 are edges: one graph per
-        leading index, shared by every step T.  A batch of scenes comes in
-        the padded layout, one n_max x n_max block per scene, so attention
-        stays within a scene.  Returns (out, attention [heads, T, ..., n, n]).
+        leading index, shared by every step T.  Every row needs an edge.
+        A batch of scenes comes in the padded layout, one n_max x n_max
+        block per scene, so attention stays within a scene.  Returns (out,
+        attention [heads, T, ..., n, n]).
 
         All heads run in one pass.  Head k's scores are x W_k a1_k and
         x W_k a2_k, so the score vectors are folded through their
@@ -182,10 +172,13 @@ class GatLayer:
         GEMM with the per-head W stacked along rows; no node-sized array
         is made per head.
         """
-        mask = np.asarray(mask)
+        edges = np.asarray(mask) > 0
         lead, n = tuple(nodes_seq.shape[:-2]), nodes_seq.shape[-2]
-        if mask.shape != lead[1:] + (n, n):
-            raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but mask is {mask.shape}")
+        if edges.shape != lead[1:] + (n, n):
+            raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but mask is {edges.shape}")
+        isolated = np.argwhere(~edges.any(axis=-1))
+        if len(isolated):
+            raise DataError(f"gat_forward: mask row {isolated[0].tolist()} has no edge")
         heads, d_out = self.heads, self.out_dim
         swap = tuple(range(nodes_seq.ndim - 2)) + (nodes_seq.ndim - 1, nodes_seq.ndim - 2)
         # column k is W_k a1_k, column H + k is W_k a2_k
@@ -196,8 +189,8 @@ class GatLayer:
         f = ad.matmul(nodes_seq, a_fold)                         # [T, ..., n, 2H]
         f1 = f[..., :heads].reshape(lead + (n, heads, 1))
         f2 = ad.transpose(f[..., heads:], swap).reshape(lead + (1, heads, n))
-        alpha = masked_softmax(ad.leaky_relu(f1 + f2),
-                               mask[..., :, None, :])           # [T, ..., n, H, n]
+        alpha = ad.softmax_rows(ad.leaky_relu(f1 + f2),
+                                edges[..., :, None, :])         # [T, ..., n, H, n]
         w_mean = ad.concat([w.tensor for w in self.w], axis=0) * ad.constant(1.0 / heads)
         # alpha @ x, [T, ..., n·H, in_dim], is the widest temporary; no
         # name holds it past the projection

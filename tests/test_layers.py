@@ -60,28 +60,52 @@ def _lstm_cell_oracle(x, h, c, wx, wh, b):
     i, f = sig(z[:, :hs]), sig(z[:, hs:2 * hs])
     g, o = np.tanh(z[:, 2 * hs:3 * hs]), sig(z[:, 3 * hs:])
     c_new = f * c + i * g
-    return o * np.tanh(c_new)
+    return o * np.tanh(c_new), c_new
 
 
 def test_lstm_single_step_matches_cell(f64):
     enc = layers.LstmEncoder("l", 3, 4, _rng(5))
     x = _rng(6).normal(size=(1, 2, 3))
     out = enc.encode(ad.Tensor(x))
-    expected = _lstm_cell_oracle(
+    expected, _ = _lstm_cell_oracle(
         x[0], np.zeros((2, 4)), np.zeros((2, 4)),
         enc.w_x.data, enc.w_h.data, enc.b.data)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def test_lstm_multi_step_matches_iterated_cell(f64):
+    enc = layers.LstmEncoder("l", 3, 4, _rng(14))
+    x = _rng(15).normal(size=(5, 3, 3))
+    h = c = np.zeros((3, 4))
+    for x_t in x:
+        h, c = _lstm_cell_oracle(x_t, h, c, enc.w_x.data, enc.w_h.data, enc.b.data)
+    out = enc.encode(ad.Tensor(x))
+    np.testing.assert_allclose(out.data, h, rtol=0, atol=1e-12)
+
+
+def test_lstm_projects_every_input_step_in_one_matmul():
+    # x @ Wx runs once over [T, B, in]; only h @ Wh stays in the loop
+    t_len = 6
+    enc = layers.LstmEncoder("l", 3, 4, _rng(16))
+    seq = ad.Tensor(_rng(17).normal(size=(t_len, 2, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        enc.encode(seq)
+
+    def reading(w):
+        return sum(any(t is w.tensor for t in node.inputs) for node in tape.nodes)
+
+    assert (reading(enc.w_x), reading(enc.w_h)) == (1, t_len)
+
+
 def test_lstm_records_fewer_nodes_per_step_than_per_gate_sigmoids():
-    # one sigmoid over [B, 4h] serves i, f and o: 16 nodes a step; four
-    # gate slices and three gate sigmoids take 18
+    # one sigmoid over [B, 4h] serves i, f and o: 14 nodes a step; four
+    # gate slices and three gate sigmoids take 16
     t_len = 6
     enc = layers.LstmEncoder("l", 3, 4, _rng(10))
     seq = ad.Tensor(_rng(11).normal(size=(t_len, 2, 3)), requires_grad=True)
     with ad.Tape() as tape:
         enc.encode(seq)
-    assert len(tape) < 18 * t_len
+    assert len(tape) < 16 * t_len
 
 
 def test_lstm_parameter_names_and_shapes_are_pinned():
@@ -210,6 +234,15 @@ def test_gat_permutation_equivariance(f64):
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-6)
 
 
+def test_gat_rejects_mask_row_without_edge():
+    # with no edge the row's softmax has nothing to normalize over
+    gat = layers.GatLayer("g", 3, 3, 2, _rng(24))
+    adj = np.ones((4, 4))
+    adj[2] = 0.0
+    with pytest.raises(DataError, match=r"mask row \[2\] has no edge"):
+        gat.forward(ad.Tensor(np.zeros((4, 3))), adj)
+
+
 def test_gat_adjacency_shape_mismatch():
     gat = layers.GatLayer("g", 3, 3, 2, _rng(24))
     with pytest.raises(ShapeError):
@@ -272,6 +305,32 @@ def test_gat_matches_per_head_reference_on_padded_batch(f64, heads):
     assert attn.size == heads * 3 * mask.size
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(attn, ref_attn, rtol=0, atol=1e-12)
+
+
+_softmax_rows = ad.softmax_rows
+
+
+def _penalty_softmax_rows(x, mask):
+    """Masking by an added -1e9 penalty, then an unmasked softmax."""
+    return _softmax_rows(x + ad.constant(np.where(mask, 0.0, -1e9)))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_gat_mask_in_softmax_matches_penalty_bit_for_bit(precision, monkeypatch):
+    mask = _padded_mask([1, 4, 7])
+    runs = []
+    with ad.precision(precision):
+        for softmax in (_softmax_rows, _penalty_softmax_rows):
+            monkeypatch.setattr(ad, "softmax_rows", softmax)
+            gat = layers.GatLayer("g", 5, 6, 3, _rng(47))
+            x = ad.Parameter("x", _rng(48).normal(size=(3,) + mask.shape[:2] + (5,)))
+            with ad.Tape() as tape:
+                out, attn = gat.forward_seq(x.tensor, mask)
+                loss = (out * _rng(49).normal(size=out.shape)).sum()
+            grads = ad.backward(tape, loss, gat.parameters() + [x])
+            runs.append([out.data, attn] + list(grads.values()))
+    for ours, penalty in zip(*runs):
+        np.testing.assert_array_equal(ours, penalty)
 
 
 def test_gat_grad_check_padded_batch(f64):

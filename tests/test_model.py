@@ -4,7 +4,7 @@ import pytest
 from granp import autodiff as ad
 from granp import model as granp_model
 from granp.autodiff import Tape, backward, grad_check
-from granp.data import NormalizationStats, synth_scenes
+from granp.data import NormalizationStats, make_episode, synth_scenes
 from granp.errors import DataError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          LatentDistribution, ModelConfig, PreparedBatch,
@@ -359,6 +359,18 @@ def test_elbo_sub_noise_gradients_match_wider_step(seed, name, index, value, f64
     flat[index] = orig
     fd = (f_plus - f_minus) / (2.0 * h)
     assert abs(analytic - fd) < 1e-4 * abs(fd)
+
+
+def test_default_training_step_tape_budget():
+    # a default-config f32 training step on a batch of 32 scenes; more
+    # nodes than this is a deliberate change, not drift
+    scenes = synth_scenes(32, seed=4, mix=0.5)
+    stats = NormalizationStats.fit(scenes)
+    batch = make_episode([prepare_scene(s, stats) for s in scenes], 3)
+    model = GranpModel(ModelConfig(), seed=1)
+    with Tape() as tape:
+        model.elbo_loss(batch, np.zeros(model.config.latent))
+    assert len(tape) <= 413
 
 
 def test_f32_elbo_step_keeps_every_gradient_f32():
