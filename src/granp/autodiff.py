@@ -234,17 +234,18 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: [a,b] x [b,c] -> [a,c]; leading dims broadcast.
+    """Matrix product: [..., a, b] x [b, c] -> [..., a, c], or batched
+    [..., a, b] x [..., b, c] with equal leading dims.
 
-    A 2-D ``b`` (a weight) is applied to a batched ``a`` flattened to rows,
-    so the forward and both gradients are one GEMM each instead of one per
-    leading index of ``a``.
+    A 2-D ``b`` (a weight) is applied to ``a`` flattened to rows, so the
+    forward and both gradients are one GEMM each instead of one per leading
+    index of ``a``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
+    if b.ndim == 2:
         k, n = b.data.shape
         rows = a.data.reshape(-1, k)
         out = Tensor((rows @ b.data).reshape(a.data.shape[:-1] + (n,)))
@@ -254,15 +255,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return (g_rows @ b.data.T).reshape(a.data.shape), rows.T @ g_rows
 
         return _record(out, (a, b), bwd_weight)
-    try:
-        out = Tensor(a.data @ b.data)
-    except ValueError:
-        raise ShapeError(f"matmul: leading dims of {a.shape} and {b.shape} do not broadcast") from None
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: leading dims of {a.shape} and {b.shape} differ")
+    out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _record(out, (a, b), bwd)
 

@@ -148,6 +148,14 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="granp",
@@ -157,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene archive")
     p.add_argument("--scenes", type=int, required=True,
                    help="number of scenes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mix", type=float, default=0.7,
                    help="fraction of lane-keeping scenes (default 0.7)")
     p.add_argument("--out", required=True, help="output directory")
@@ -175,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=4, choices=[2, 4, 8])
     p.add_argument("--latent", type=int, default=0,
                    help="latent dimension (0 matches --hidden)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="per-horizon RMSE and NLL on an archive")
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", type=int, required=True,
                    help="scene index into the archive")
     p.add_argument("--samples", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output JSON file")
     p.set_defaults(func=_cmd_predict)
 

@@ -147,22 +147,16 @@ class GatLayer:
     def parameters(self):
         return [p for pair in zip(self.w, self.a) for p in pair]
 
-    def forward(self, nodes: Tensor, mask):
-        """nodes: [n, in_dim]; mask: [n, n] array, entries > 0 are edges.
-
-        Returns ([n, out_dim], attention [heads, n, n]).
-        """
-        out, attn = self.forward_seq(nodes.reshape((1,) + tuple(nodes.shape)), mask)
-        return out[0], attn[:, 0]
-
     def forward_seq(self, nodes_seq: Tensor, mask):
-        """Batched form: nodes [T, ..., n, in_dim] -> [T, ..., n, out_dim].
+        """nodes [..., n, in_dim] -> (out [..., n, out_dim], attention
+        [heads, ..., n, n]); the leading dims may be none.
 
-        ``mask`` is [..., n, n], entries > 0 are edges: one graph per
-        leading index, shared by every step T.  Every row needs an edge.
-        A batch of scenes comes in the padded layout, one n_max x n_max
-        block per scene, so attention stays within a scene.  Returns (out,
-        attention [heads, T, ..., n, n]).
+        ``mask`` holds one graph per leading index of nodes but the first,
+        which every step T shares: [n, n] for nodes [n, in_dim] or
+        [T, n, in_dim], [B, n, n] for [T, B, n, in_dim].  Entries > 0 are
+        edges, and every row needs one.  A batch of scenes comes in the
+        padded layout, one n_max x n_max block per scene, so attention
+        stays within a scene.
 
         All heads run in one pass.  Head k's scores are x W_k a1_k and
         x W_k a2_k, so the score vectors are folded through their
@@ -197,6 +191,8 @@ class GatLayer:
         out = ad.matmul(ad.matmul(alpha.reshape(lead + (n * heads, n)), nodes_seq)
                         .reshape(lead + (n, heads * self.in_dim)), w_mean)
         return ad.relu(out), np.moveaxis(alpha.data, -2, 0)
+
+    forward = forward_seq   # the name single-graph callers use
 
 
 class CrossAttention:

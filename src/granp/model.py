@@ -106,18 +106,19 @@ def prepare_scene(scene, stats) -> PreparedScene:
     """Keep the grid-gated nodes (ego first), then z-score the states.  The
     gating must come from meters: the grid is a physical extent.
 
-    Raises DataError when a z-scored value is beyond the largest finite
-    value of the run's precision, where the model's cast would make it
-    infinite: a finite input such as -1e308 overflows f32."""
+    Raises DataError when a z-scored value is NaN or beyond the largest
+    finite value of the run's precision, where the model's cast would make
+    it infinite: a finite input such as -1e308 overflows f32."""
     order = select_grid_nodes(scene, T_N - 1)
     states = np.stack([stats.apply_states(scene.history[v]) for v in order],
                       axis=1)
     future = None if scene.future is None else stats.apply_xy(scene.future)
     limit = np.finfo(ad.dtype()).max
     for name, arr in (("states", states), ("future", future)):
-        if arr is not None and (np.abs(arr) > limit).any():
+        # written so that NaN, for which every comparison is False, fails
+        if arr is not None and not (np.abs(arr) <= limit).all():
             raise DataError(f"prepare_scene: scene of ego {scene.ego}: "
-                            f"normalized {name} overflow "
+                            f"normalized {name} is NaN or would overflow "
                             f"{ad.get_precision()}")
     return PreparedScene(ids=tuple(order), states=states, future=future)
 
@@ -207,6 +208,9 @@ class GranpModel:
             if sc.states.shape[0] != cfg.t_n or sc.states.shape[2] != STATE_FEATURES:
                 raise DataError(f"scene states {sc.states.shape}, expected "
                                 f"[{cfg.t_n}, n, {STATE_FEATURES}]")
+            if sc.states.shape[1] == 0:
+                raise DataError(f"scene with ids {sc.ids}: states "
+                                f"{sc.states.shape} have no nodes")
         counts = np.array([sc.states.shape[1] for sc in scenes])
         n_max = counts.max()
         states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .data import (NormalizationStats, TARGET_HZ, make_episode,
+from .data import (NormalizationStats, TARGET_HZ, T_F, make_episode,
                    scenes_from_doc, scenes_to_doc)
 from .errors import DataError, FormatError, NumericError
 from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
@@ -67,7 +67,6 @@ class TrainSettings:
     batch_size: int = 32
     val_fraction: float = 0.1
     reference_size: int = 64
-    patience: int = 0       # epochs without val improvement; 0 disables
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -83,8 +82,6 @@ class TrainSettings:
         if self.reference_size < 1:
             raise DataError(f"reference_size must be >= 1, got "
                             f"{self.reference_size}")
-        if self.patience < 0:
-            raise DataError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
@@ -134,7 +131,6 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
     best_val = math.inf
     best_params = None
     best_epoch = 0
-    since_best = 0
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(len(prep_train))
         sums = np.zeros(3)
@@ -170,11 +166,6 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
             best_val = v
             best_epoch = epoch
             best_params = [p.data.copy() for p in model.parameters()]
-            since_best = 0
-        else:
-            since_best += 1
-            if settings.patience and since_best >= settings.patience:
-                break
     if best_params is None:
         raise NumericError(f"validation NLL was not finite in any of "
                            f"{len(val_hist)} epochs")
@@ -254,30 +245,30 @@ def evaluate(model: GranpModel, scenes, stats, reference, samples: int = 30,
                                     model.config.t_f)
 
 
-def cv_baseline(scene, t_f: int = 25) -> PredictiveDistribution:
-    """Constant-velocity extrapolation from the last two history positions;
-    sigma fixed at 0.5 m."""
+def cv_baseline(scene) -> PredictiveDistribution:
+    """Constant-velocity extrapolation from the last two history positions
+    over the T_F future steps; sigma fixed at 0.5 m."""
     hist = scene.history[scene.ego]
     vel = (hist[-1, :2] - hist[-2, :2]) / SAMPLE_DT
-    steps = np.arange(1, t_f + 1)[:, None] * SAMPLE_DT
+    steps = np.arange(1, T_F + 1)[:, None] * SAMPLE_DT
     mean = hist[-1, :2] + steps * vel
-    sd = np.full((t_f, 2), 0.5)
+    sd = np.full((T_F, 2), 0.5)
     return PredictiveDistribution(mean=mean, std=sd, samples=mean[None])
 
 
-def constant_position_baseline(scene, t_f: int = 25) -> PredictiveDistribution:
-    """Predicts the last observed position forever; sigma 0.5 m."""
-    mean = np.tile(scene.history[scene.ego][-1, :2], (t_f, 1))
-    sd = np.full((t_f, 2), 0.5)
+def constant_position_baseline(scene) -> PredictiveDistribution:
+    """Predicts the last observed position for T_F steps; sigma 0.5 m."""
+    mean = np.tile(scene.history[scene.ego][-1, :2], (T_F, 1))
+    sd = np.full((T_F, 2), 0.5)
     return PredictiveDistribution(mean=mean, std=sd, samples=mean[None])
 
 
-def baseline_report(scenes, kind: str = "cv", t_f: int = 25) -> EvalReport:
+def baseline_report(scenes, kind: str = "cv") -> EvalReport:
     fns = {"cv": cv_baseline, "constant_position": constant_position_baseline}
     if kind not in fns:
         raise DataError(f"unknown baseline {kind!r}")
-    preds = [fns[kind](s, t_f) for s in scenes]
-    return metrics_from_predictions(preds, [s.future for s in scenes], t_f)
+    preds = [fns[kind](s) for s in scenes]
+    return metrics_from_predictions(preds, [s.future for s in scenes], T_F)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +277,12 @@ def baseline_report(scenes, kind: str = "cv", t_f: int = 25) -> EvalReport:
 def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
                     reference_scenes):
     """manifest.json + params.bin (little-endian, manifest order), stored in
-    the run's precision: float32 for f32, float64 for f64.  Each file is
-    replaced atomically and the manifest records params.bin's SHA-256."""
+    the parameters' own precision: float32 as f32, float64 as f64, whatever
+    the process precision.  Each file is replaced atomically and the
+    manifest records params.bin's SHA-256."""
     os.makedirs(dir_path, exist_ok=True)
-    precision = ad.get_precision()
+    # the model's own, not ad.get_precision(): the process may have switched
+    precision = "f64" if model.parameters()[0].data.dtype == np.float64 else "f32"
     dt = _PARAM_DTYPES[precision]
     entries = []
     blobs = []

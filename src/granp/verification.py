@@ -80,7 +80,7 @@ def _layer_cases(rng: np.random.Generator) -> dict:
     nodes = ad.constant(rng.normal(size=(4, 3)))
     adj = np.maximum((rng.random((4, 4)) > 0.3).astype(float), np.eye(4))
     adj = np.maximum(adj, adj.T)
-    cases["gat_layer"] = (lambda: gat.forward(nodes, adj)[0].sum(),
+    cases["gat_layer"] = (lambda: gat.forward_seq(nodes, adj)[0].sum(),
                           gat.parameters())
 
     sw = ad.Parameter("sw", rng.normal(size=(4, 4)))

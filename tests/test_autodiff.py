@@ -56,6 +56,32 @@ def test_matmul_batched_leading_dims(f64):
     np.testing.assert_allclose(out.data, a @ b, rtol=1e-12)
 
 
+def test_matmul_mismatched_leading_dims_raise():
+    # only equal leading dims batch; a 2-D right operand takes any left
+    a = ad.Tensor(np.zeros((1, 3, 4)))
+    with pytest.raises(ShapeError, match="leading dims"):
+        ad.matmul(a, ad.Tensor(np.zeros((5, 4, 6))))
+    assert ad.matmul(a, ad.Tensor(np.zeros((1, 4, 6)))).shape == (1, 3, 6)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3), (3, 5)), ((4, 2, 3), (3, 5)), ((4, 2, 3), (4, 3, 5))])
+def test_matmul_takes_no_unbroadcast_path(a_shape, b_shape, f64, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("matmul summed a broadcast gradient")
+    monkeypatch.setattr(ad, "_unbroadcast", refuse)
+    rng = np.random.default_rng(3)
+    a = ad.Parameter("a", rng.normal(size=a_shape))
+    b = ad.Parameter("b", rng.normal(size=b_shape))
+    with ad.Tape() as tape:
+        root = ad.reduce_sum(ad.matmul(a.tensor, b.tensor))
+    grads = ad.backward(tape, root, [a, b])
+    g = np.ones(a_shape[:-1] + b_shape[-1:])
+    np.testing.assert_allclose(grads["a"], g @ np.swapaxes(b.data, -1, -2),
+                               rtol=1e-12)
+    assert grads["b"].shape == b_shape
+
+
 def test_softmax_rows_constant_row_is_uniform():
     for c in (-3.0, 0.0, 7.5):
         out = ad.softmax_rows(ad.Tensor([[c, c, c]]))

@@ -90,6 +90,20 @@ def test_synth_rejects_nonpositive_count(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "predict"])
+def test_negative_seed_is_usage_error(pipeline, tmp_path, capsys, command):
+    # numpy rejects negative seeds; argparse must, before any work is done
+    data, ckpt = pipeline
+    args = {"synth": ["--scenes", "2", "--out", str(tmp_path / "d")],
+            "train": ["--data", str(data), "--out", str(tmp_path / "c"),
+                      "--epochs", "1", "--hidden", "16", "--heads", "2"],
+            "predict": ["--data", str(data), "--ckpt", str(ckpt),
+                        "--scene", "0", "--out", str(tmp_path / "p.json")]}
+    assert run_cli([command, *args[command], "--seed", "-1"]) == 2
+    assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # -- train ---------------------------------------------------------------------
 
 def test_train_writes_checkpoint_and_history(pipeline):

@@ -259,6 +259,11 @@ def test_gat_grad_check(f64):
     assert max(errs.values()) < 1e-4
 
 
+def test_gat_forward_is_forward_seq():
+    # one code path: a single graph is forward_seq with no leading dims
+    assert layers.GatLayer.forward is layers.GatLayer.forward_seq
+
+
 def test_gat_seq_matches_per_step(f64):
     gat = layers.GatLayer("g", 3, 5, 2, _rng(27))
     rng = _rng(28)

@@ -504,6 +504,21 @@ def test_predict_handles_ego_only_scene(f64):
     assert np.isfinite(pred.mean).all()
 
 
+@pytest.mark.parametrize("others", [0, 2])
+def test_scene_without_nodes_is_rejected(others):
+    # alone it used to reach numpy; beside other scenes it was predicted
+    # from padding alone
+    rng = np.random.default_rng(13)
+    cfg = _micro_config()
+    context = [_micro_scene(rng, cfg, 2) for _ in range(3)]
+    empty = PreparedScene(ids=(), states=np.zeros((cfg.t_n, 0, 4)),
+                          future=np.zeros((cfg.t_f, 2)))
+    targets = [_micro_scene(rng, cfg, 2) for _ in range(others)] + [empty]
+    model = GranpModel(cfg, seed=3)
+    with pytest.raises(DataError, match=r"ids \(\): states \(4, 0, 4\) have no nodes"):
+        model.predict(targets, context, _flat_stats(), samples=2)
+
+
 def _record_encodes(model, monkeypatch):
     """Log encode_context calls and the batch size of each encode_pairs."""
     calls = []
@@ -738,6 +753,18 @@ def test_prepare_scene_orders_and_normalizes():
     np.testing.assert_allclose(prep.states[:, 0],
                                stats.apply_states(scene.history[scene.ego]))
     np.testing.assert_allclose(prep.future, stats.apply_xy(scene.future))
+
+
+@pytest.mark.parametrize("field", ["history", "future"])
+def test_prepare_scene_rejects_nan(field):
+    # NaN compares False with any limit; it must not reach predict
+    scenes = synth_scenes(2, seed=4, mix=1.0)
+    stats = NormalizationStats.fit(scenes)
+    scene = scenes[0]
+    target = scene.history[scene.ego] if field == "history" else scene.future
+    target[3, 1] = np.nan
+    with pytest.raises(DataError, match="is NaN or would overflow f32"):
+        prepare_scene(scene, stats)
 
 
 def test_model_seeding_is_deterministic():
