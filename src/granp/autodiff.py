@@ -432,6 +432,73 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def lstm(xw: Tensor, wh: Tensor) -> Tensor:
+    """Zero-state LSTM recurrence as one tape node: the final hidden state
+    [B, h].
+
+    xw: [T, B, 4h], the input projection seq @ Wx + b with gates in i, f,
+    g, o order; wh: [h, 4h], the recurrent weight.  Step t computes
+    z = xw[t] + h @ Wh, one sigmoid over all of z (its g block unused),
+    g = tanh(z[:, 2h:3h]), c = f * c + i * g and h = o * tanh(c).
+
+    The backward is backpropagation through time.  It applies the ops that
+    the tape of the unrolled steps would, in the same order, and sums dWh
+    one step at a time, latest first, as that tape did, so both gradients
+    match it bit for bit.
+    """
+    if xw.ndim != 3 or xw.shape[0] == 0:
+        raise ShapeError(f"lstm: xw must be [T, B, 4h] with T >= 1, got {xw.shape}")
+    if wh.ndim != 2 or wh.shape[1] != 4 * wh.shape[0]:
+        raise ShapeError(f"lstm: wh must be [h, 4h], got {wh.shape}")
+    if xw.shape[-1] != wh.shape[1]:
+        raise ShapeError(f"lstm: xw {xw.shape} does not match wh {wh.shape}")
+    t_len, batch, _ = xw.shape
+    n = wh.shape[0]
+    w = wh.data
+    h = c = np.zeros((batch, n), dtype=xw.data.dtype)
+    hs, cs, gates, gs, tcs = [h], [c], [], [], []   # hs[t], cs[t] enter step t
+    for t in range(t_len):
+        z = xw.data[t] + h @ w
+        s = 1.0 / (1.0 + np.exp(-z))
+        g = np.tanh(z[:, 2 * n:3 * n])
+        c = s[:, n:2 * n] * c + s[:, :n] * g
+        tc = np.tanh(c)
+        h = s[:, 3 * n:] * tc
+        hs.append(h)
+        cs.append(c)
+        gates.append(s)
+        gs.append(g)
+        tcs.append(tc)
+    out = Tensor(h)
+
+    def bwd(dh):
+        dxw = np.empty_like(xw.data)
+        dwh = None
+        dc_next = None      # what reaches c_t through step t + 1's f * c_t
+        for t in reversed(range(t_len)):
+            s, g, tc = gates[t], gs[t], tcs[t]
+            dc = (dh * s[:, 3 * n:]) * (1.0 - tc * tc)
+            if dc_next is not None:
+                dc = dc_next + dc
+            ds = np.zeros_like(s)
+            ds[:, 3 * n:] = dh * tc
+            ds[:, :n] = dc * g
+            ds[:, n:2 * n] = dc * cs[t]
+            # the g block first, then the sigmoid's share, as the tape
+            # summed them: every entry gains a +0.0, so zero signs agree
+            dz = np.zeros_like(s)
+            dz[:, 2 * n:3 * n] = (dc * s[:, :n]) * (1.0 - g * g)
+            dz += ds * s * (1.0 - s)
+            dxw[t] = dz
+            dw_t = hs[t].T @ dz
+            dwh = dw_t if dwh is None else dwh + dw_t
+            dh = dz @ w.T
+            dc_next = dc * s[:, n:2 * n]
+        return dxw, dwh
+
+    return _record(out, (xw, wh), bwd)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass and gradient checking
 

@@ -22,6 +22,15 @@ CSV_COLUMNS = ("frame", "id", "x", "y", "xVelocity", "yVelocity",
 LANES_X = (-3.5, 0.0, 3.5)
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed numpy rejects, such as a
+    negative integer, is a DataError that names it."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}") from None
+
+
 def _heading_projection(vx, vy, ax, ay):
     """Speed and signed along-heading acceleration from velocity components."""
     s = np.hypot(vx, vy)
@@ -235,7 +244,7 @@ def make_episode(scenes, seed) -> PreparedBatch:
     n = len(scenes)
     if n < 3:
         raise DataError(f"episode needs at least 3 scenes, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     order = rng.permutation(n)
     m = int(rng.integers(3, n + 1))
     return PreparedBatch(scenes=[scenes[i] for i in order], m=m)
@@ -311,7 +320,7 @@ def synth_scenes(count: int, seed, mix: float = 0.5):
         raise DataError(f"count must be >= 1, got {count}")
     if not 0.0 <= mix <= 1.0:
         raise DataError(f"mix must be in [0, 1], got {mix}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n_keep = int(round(count * mix))
     scenes = []
     for i in range(count):

@@ -68,23 +68,12 @@ class LstmEncoder:
         """seq: [T, batch, input_size] -> final hidden state [batch, hidden]."""
         if seq.ndim != 3 or seq.shape[2] != self.input_size:
             raise ShapeError(f"lstm_encode: expected [T, batch, {self.input_size}], got {seq.shape}")
-        t_len, batch, _ = seq.shape
-        if t_len == 0:
+        if seq.shape[0] == 0:
             raise DataError("lstm_encode: empty sequence")
-        hs = self.hidden_size
         # the input projection does not depend on the recurrence: one GEMM
-        # over every step, so only h @ Wh stays in the loop
+        # over every step, then the whole recurrence is one tape node
         xw = ad.matmul(seq, self.w_x.tensor) + self.b.tensor   # [T, batch, 4h]
-        h = ad.constant(np.zeros((batch, hs)))
-        c = ad.constant(np.zeros((batch, hs)))
-        for t in range(t_len):
-            z = xw[t] + ad.matmul(h, self.w_h.tensor)
-            # one sigmoid for the i, f, o gates; its g block goes unused
-            gates = ad.sigmoid(z)
-            g = ad.tanh(z[:, 2 * hs:3 * hs])
-            c = gates[:, hs:2 * hs] * c + gates[:, :hs] * g
-            h = gates[:, 3 * hs:] * ad.tanh(c)
-        return h
+        return ad.lstm(xw, self.w_h.tensor)
 
 
 class ConvMlpEncoder:

@@ -19,7 +19,7 @@ from .errors import DataError, NumericError, ShapeError
 from .layers import (ConvMlpEncoder, CrossAttention, GatLayer, LstmEncoder,
                      MlpBlock)
 from .scene_graph import select_grid_nodes
-from .data import T_F, T_N, PreparedBatch
+from .data import T_F, T_N, PreparedBatch, seeded_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -163,7 +163,7 @@ class GranpModel:
 
     def __init__(self, config: ModelConfig, seed=0):
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         d, lat = config.hidden, config.latent
         self.embed = MlpBlock("embed", [STATE_FEATURES, d], rng)
         self.gat = [GatLayer(f"gat{i}", d, d, config.heads, rng)
@@ -216,6 +216,12 @@ class GranpModel:
         states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES))
         for i, sc in enumerate(scenes):
             states[:, i, :counts[i]] = sc.states
+        # one pass per chunk, as prepare_scene checks: NaN fails it too
+        limit = np.finfo(ad.dtype()).max
+        if not (np.abs(states) <= limit).all():
+            bad = next(sc for sc in scenes if not (np.abs(sc.states) <= limit).all())
+            raise DataError(f"scene with ids {bad.ids}: states are NaN or "
+                            f"would overflow {ad.get_precision()}")
         real = np.arange(n_max) < counts[:, None]               # [B, n_max]
         mask = (real[:, :, None] & real[:, None, :]) | np.eye(n_max, dtype=bool)
         return states, mask
@@ -362,7 +368,7 @@ class GranpModel:
         if noise is None:
             if samples < 1:
                 raise DataError(f"predict: samples must be >= 1, got {samples}")
-            rng = np.random.default_rng(seed)
+            rng = seeded_rng(seed)
             noise = rng.standard_normal((samples, self.config.latent))
         noise = np.asarray(noise)
         if noise.shape[1:] != (self.config.latent,) or len(noise) == 0:

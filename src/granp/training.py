@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, backward
 from .data import (NormalizationStats, TARGET_HZ, T_F, make_episode,
-                   scenes_from_doc, scenes_to_doc)
+                   scenes_from_doc, scenes_to_doc, seeded_rng)
 from .errors import DataError, FormatError, NumericError
 from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
                     PredictiveDistribution, STATE_FEATURES, gaussian_nll,
@@ -108,7 +108,7 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
     """Seeded 90/10 split, per-epoch episode batches, Adam on the ELBO;
     keeps the parameters of the best validation epoch."""
     n = len(scenes)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n_val = max(1, int(round(settings.val_fraction * n)))
     if n - n_val < 3:
         raise DataError(f"need at least {n_val + 3} scenes, got {n}")

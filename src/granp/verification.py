@@ -30,6 +30,11 @@ def _primitive_cases(rng: np.random.Generator) -> dict:
     proj = ad.constant(rng.normal(size=(4, 5)))
     kw = ad.Parameter("kw", rng.normal(size=(2, 3, 3)) * 0.5)
     kx = ad.constant(rng.normal(size=(2, 3, 6)))
+    # a child generator: the draws after this point are the same as they
+    # were before the lstm case existed
+    lstm_rng = rng.spawn(1)[0]
+    lx = ad.Parameter("lx", lstm_rng.normal(size=(3, 2, 8)))     # T 3, B 2
+    lh = ad.Parameter("lh", lstm_rng.normal(size=(2, 8)))        # h 2
     t = w.tensor
     objectives = {
         "add": lambda: ad.reduce_sum(ad.mul(ad.add(t, off), off)),
@@ -54,8 +59,10 @@ def _primitive_cases(rng: np.random.Generator) -> dict:
         "leaky_relu": lambda: ad.reduce_sum(ad.mul(ad.leaky_relu(t), off)),
         "softplus": lambda: ad.reduce_sum(ad.softplus(t)),
         "softmax_rows": lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(t), off)),
+        "lstm": lambda: ad.reduce_sum(ad.lstm(lx.tensor, lh.tensor)),
     }
-    return {name: (fn, [kw] if name == "conv1d" else [w])
+    params = {"conv1d": [kw], "lstm": [lx, lh]}
+    return {name: (fn, params.get(name, [w]))
             for name, fn in objectives.items()}
 
 

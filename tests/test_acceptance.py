@@ -3,7 +3,8 @@ with its measured values (visible with pytest -s, or on failure).
 
 The trained-model criteria share one module fixture that runs the full
 training configuration (500 scenes, 200 epochs, hidden 64, heads 4); expect
-about five minutes for the whole module.
+about five minutes for the whole module.  Those criteria are marked slow,
+so ``pytest -m "not slow"`` leaves them, and that training, out.
 """
 
 import json
@@ -157,6 +158,7 @@ def test_adjacency_properties_and_bandwidth():
           f"delta {delta:.4f} m vs 30.943 (err {delta_err:.1e} < 1e-3)")
 
 
+@pytest.mark.slow
 def test_training_beats_gates_within_budget(trained):
     res = trained.result
     v1 = res.val_nll[0]
@@ -174,6 +176,7 @@ def test_training_beats_gates_within_budget(trained):
           f"(< 1.0), train {trained.train_seconds / 60:.1f} min (< 30)")
 
 
+@pytest.mark.slow
 def test_uncertainty_grows_with_horizon(trained):
     per_scene = np.array([[p.std[4].mean(), p.std[24].mean()]
                           for p in trained.preds])
@@ -251,6 +254,7 @@ def test_pipeline_window_and_normalization_arithmetic():
           f"{mean_err:.1e}, |std-1| {std_err:.1e} (< 1e-6)")
 
 
+@pytest.mark.slow
 def test_attention_export_rows_and_ranking(trained):
     worst_row = 0.0
     ranked = True

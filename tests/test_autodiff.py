@@ -242,6 +242,58 @@ def test_shared_input_accumulates():
 
 
 # ---------------------------------------------------------------------------
+# lstm: one tape node, bit for bit the unrolled per-op recurrence
+
+
+def _unrolled_lstm(xw, wh):
+    """The recurrence as one tape node per op, as LstmEncoder once ran it."""
+    t_len, batch, _ = xw.shape
+    n = wh.shape[0]
+    h = ad.constant(np.zeros((batch, n)))
+    c = ad.constant(np.zeros((batch, n)))
+    for t in range(t_len):
+        z = ad.add(xw[t], ad.matmul(h, wh))
+        gates = ad.sigmoid(z)
+        g = ad.tanh(z[:, 2 * n:3 * n])
+        c = ad.add(ad.mul(gates[:, n:2 * n], c), ad.mul(gates[:, :n], g))
+        h = ad.mul(gates[:, 3 * n:], ad.tanh(c))
+    return h
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("t_len,batch,hidden", [(1, 1, 3), (4, 3, 5), (15, 32, 64)])
+@pytest.mark.parametrize("scale", [1.0, 8.0])   # 8: saturated gates, zero grads
+def test_lstm_matches_unrolled_recurrence_bit_for_bit(prec, t_len, batch, hidden, scale):
+    rng = np.random.default_rng(t_len * 100 + batch)
+    with ad.precision(prec):
+        xw = ad.Parameter("xw", rng.normal(size=(t_len, batch, 4 * hidden)) * scale)
+        wh = ad.Parameter("wh", rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden))
+                          / np.sqrt(hidden))
+        up = ad.constant(rng.normal(size=(batch, hidden)))
+        runs = []
+        for fn in (ad.lstm, _unrolled_lstm):
+            with ad.Tape() as tape:
+                out = fn(xw.tensor, wh.tensor)
+                root = ad.reduce_sum(ad.mul(out, up))
+            grads = ad.backward(tape, root, [xw, wh])
+            runs.append([out.data.tobytes(), grads["xw"].tobytes(),
+                         grads["wh"].tobytes()])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("xw_shape,wh_shape", [
+    ((2, 8), (2, 8)),           # xw not 3-D
+    ((0, 1, 8), (2, 8)),        # no steps
+    ((3, 1, 12), (2, 8)),       # xw's 4h differs from wh's
+    ((3, 1, 8), (2, 4)),        # wh not [h, 4h]
+    ((3, 1, 8), (8,)),          # wh not 2-D
+])
+def test_lstm_shape_errors(xw_shape, wh_shape):
+    with pytest.raises(ShapeError, match="^lstm: "):
+        ad.lstm(ad.Tensor(np.zeros(xw_shape)), ad.Tensor(np.zeros(wh_shape)))
+
+
+# ---------------------------------------------------------------------------
 # Finite-difference agreement, every primitive, 10 seeds each
 
 

@@ -303,6 +303,11 @@ def test_synth_validates_arguments():
         data.synth_scenes(1, 0, mix=1.5)
 
 
+def test_synth_rejects_negative_seed():
+    with pytest.raises(DataError, match="seed .* got -1"):
+        data.synth_scenes(2, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # archives
 

@@ -370,7 +370,7 @@ def test_default_training_step_tape_budget():
     model = GranpModel(ModelConfig(), seed=1)
     with Tape() as tape:
         model.elbo_loss(batch, np.zeros(model.config.latent))
-    assert len(tape) <= 413
+    assert len(tape) <= 204
 
 
 def test_f32_elbo_step_keeps_every_gradient_f32():
@@ -517,6 +517,28 @@ def test_scene_without_nodes_is_rejected(others):
     model = GranpModel(cfg, seed=3)
     with pytest.raises(DataError, match=r"ids \(\): states \(4, 0, 4\) have no nodes"):
         model.predict(targets, context, _flat_stats(), samples=2)
+
+
+@pytest.mark.parametrize("others", [0, 2])
+def test_scene_with_non_finite_states_is_rejected(others):
+    # a hand-built scene skips prepare_scene's check
+    rng = np.random.default_rng(13)
+    cfg = _micro_config()
+    context = [_micro_scene(rng, cfg, 2) for _ in range(3)]
+    bad = PreparedScene(ids=(7, 8), states=rng.normal(size=(cfg.t_n, 2, 4)),
+                        future=np.zeros((cfg.t_f, 2)))
+    bad.states[2, 1, 3] = np.nan
+    targets = [_micro_scene(rng, cfg, 2) for _ in range(others)] + [bad]
+    model = GranpModel(cfg, seed=3)
+    with pytest.raises(DataError, match=r"ids \(7, 8\): states are NaN"):
+        model.predict(targets, context, _flat_stats(), samples=2)
+
+
+def test_predict_rejects_negative_seed():
+    cfg, batch = _micro_batch(seed=2)
+    model = GranpModel(cfg, seed=3)
+    with pytest.raises(DataError, match="seed .* got -1"):
+        model.predict(batch.scenes, batch.scenes, _flat_stats(), seed=-1)
 
 
 def _record_encodes(model, monkeypatch):

@@ -153,6 +153,12 @@ def test_train_rejects_bad_sizes():
               TrainSettings(epochs=0), seed=0)
 
 
+def test_train_rejects_negative_seed():
+    with pytest.raises(DataError, match="seed .* got -1"):
+        train(synth_scenes(10, seed=0, mix=0.5), _tiny_config(),
+              TrainSettings(epochs=1), seed=-1)
+
+
 @pytest.mark.parametrize("field,value,match", [
     ("batch_size", 0, "batch size"),
     ("batch_size", -4, "batch size"),
