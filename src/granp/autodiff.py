@@ -179,9 +179,17 @@ def active_tape() -> Optional[Tape]:
     return _tape_stack[-1] if _tape_stack else None
 
 
+def _recording(inputs: Sequence[Tensor]) -> Optional[Tape]:
+    """The tape that an op on these inputs is recorded on, or None: no tape
+    is active, or no input requires a gradient."""
+    if _tape_stack and any(t.requires_grad for t in inputs):
+        return _tape_stack[-1]
+    return None
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording(inputs)
+    if tape is not None:
         out.requires_grad = True
         tape.nodes.append(_Node(out, tuple(inputs), bwd))
     return out
@@ -349,12 +357,9 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
+def transpose(x: Tensor, axes) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
+    inv = np.argsort(axes)
     return _record(out, (x,), lambda g: (np.transpose(g, inv),))
 
 
@@ -372,11 +377,6 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     total = reduce_sum(x, axis=axis, keepdims=keepdims)
     return total / (x.size // max(total.size, 1))
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
-    return _record(out, (x,), lambda g: (g * out.data,))
 
 
 def log(x: Tensor) -> Tensor:
@@ -444,7 +444,9 @@ def lstm(xw: Tensor, wh: Tensor) -> Tensor:
     The backward is backpropagation through time.  It applies the ops that
     the tape of the unrolled steps would, in the same order, and sums dWh
     one step at a time, latest first, as that tape did, so both gradients
-    match it bit for bit.
+    match it bit for bit.  The per-step arrays that backward reads are kept
+    only when the call is recorded; otherwise each step's are freed as the
+    next one runs.
     """
     if xw.ndim != 3 or xw.shape[0] == 0:
         raise ShapeError(f"lstm: xw must be [T, B, 4h] with T >= 1, got {xw.shape}")
@@ -455,20 +457,19 @@ def lstm(xw: Tensor, wh: Tensor) -> Tensor:
     t_len, batch, _ = xw.shape
     n = wh.shape[0]
     w = wh.data
+    keep = _recording((xw, wh)) is not None
+    steps = []      # per step: (h and c entering it, sigmoid, g, tanh(c))
     h = c = np.zeros((batch, n), dtype=xw.data.dtype)
-    hs, cs, gates, gs, tcs = [h], [c], [], [], []   # hs[t], cs[t] enter step t
     for t in range(t_len):
         z = xw.data[t] + h @ w
         s = 1.0 / (1.0 + np.exp(-z))
         g = np.tanh(z[:, 2 * n:3 * n])
-        c = s[:, n:2 * n] * c + s[:, :n] * g
-        tc = np.tanh(c)
+        c_out = s[:, n:2 * n] * c + s[:, :n] * g
+        tc = np.tanh(c_out)
+        if keep:
+            steps.append((h, c, s, g, tc))
         h = s[:, 3 * n:] * tc
-        hs.append(h)
-        cs.append(c)
-        gates.append(s)
-        gs.append(g)
-        tcs.append(tc)
+        c = c_out
     out = Tensor(h)
 
     def bwd(dh):
@@ -476,21 +477,21 @@ def lstm(xw: Tensor, wh: Tensor) -> Tensor:
         dwh = None
         dc_next = None      # what reaches c_t through step t + 1's f * c_t
         for t in reversed(range(t_len)):
-            s, g, tc = gates[t], gs[t], tcs[t]
+            h_in, c_in, s, g, tc = steps[t]
             dc = (dh * s[:, 3 * n:]) * (1.0 - tc * tc)
             if dc_next is not None:
                 dc = dc_next + dc
             ds = np.zeros_like(s)
             ds[:, 3 * n:] = dh * tc
             ds[:, :n] = dc * g
-            ds[:, n:2 * n] = dc * cs[t]
+            ds[:, n:2 * n] = dc * c_in
             # the g block first, then the sigmoid's share, as the tape
             # summed them: every entry gains a +0.0, so zero signs agree
             dz = np.zeros_like(s)
             dz[:, 2 * n:3 * n] = (dc * s[:, :n]) * (1.0 - g * g)
             dz += ds * s * (1.0 - s)
             dxw[t] = dz
-            dw_t = hs[t].T @ dz
+            dw_t = h_in.T @ dz
             dwh = dw_t if dwh is None else dwh + dw_t
             dh = dz @ w.T
             dc_next = dc * s[:, n:2 * n]

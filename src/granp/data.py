@@ -234,10 +234,6 @@ class PreparedBatch:
             raise DataError(f"context size {self.m} outside batch of "
                             f"{len(self.scenes)}")
 
-    @property
-    def context(self):
-        return self.scenes[:self.m]
-
 
 def make_episode(scenes, seed) -> PreparedBatch:
     """Seeded shuffle, then context size m ~ Uniform[3, N] as the prefix."""

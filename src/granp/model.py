@@ -305,19 +305,19 @@ class GranpModel:
         return h_ctx, r_ctx, prior
 
     def decode(self, h_target: Tensor, r_star: Tensor, z: Tensor):
-        """(H_T, r*, z) -> per-step position Gaussians, normalized units.
+        """(H_T, r*, z) -> per-step position Gaussians, normalized units;
+        one z row per target row.
 
         Returns (mu [k, t_f, 2], sigma [k, t_f, 2]) tensors.
         """
         cfg = self.config
         k = h_target.shape[0]
         if (h_target.shape[-1] != cfg.hidden or r_star.shape != h_target.shape
-                or z.shape[-1] != cfg.latent):
+                or z.shape != (k, cfg.latent)):
             raise ShapeError(
                 f"decode: got H_T {h_target.shape}, r* {r_star.shape}, "
                 f"z {z.shape} for d={cfg.hidden}, latent={cfg.latent}")
-        z_rows = z + ad.constant(np.zeros((k, cfg.latent)))
-        out = self.decoder.forward(ad.concat([h_target, r_star, z_rows], axis=1))
+        out = self.decoder.forward(ad.concat([h_target, r_star, z], axis=1))
         out = out.reshape((k, cfg.t_f, 4))
         mu = out[:, :, :2]
         sigma = DECODER_SIGMA_MIN + ad.softplus(out[:, :, 2:])
@@ -344,7 +344,9 @@ class GranpModel:
         posterior = self.latent_path(s_all)
         z = sample_latent(posterior, noise)
         r_star = self.cross.attend(h_all, h_all[:m], r_ctx)
-        mu, sigma = self.decode(h_all, r_star, z)
+        # the one draw, broadcast to every target row
+        z_rows = z + ad.constant(np.zeros((k, self.config.latent)))
+        mu, sigma = self.decode(h_all, r_star, z_rows)
 
         y = ad.constant(futures)
         err = y - mu
@@ -355,25 +357,22 @@ class GranpModel:
         loss = (nll_sum + kl) / denom
         return loss, {"recon_nll": nll_sum.item() / denom, "kl": kl.item()}
 
-    def predict(self, targets, context, stats, samples: int = 30, seed=0,
-                noise=None):
+    def predict(self, targets, context, stats, samples: int = 30, seed=0):
         """Decode S latent draws from the context prior and pool them.
 
-        Pooled variance adds the decoder variance to the spread of the
-        sampled means; the band is mean +/- 1.96 sigma per axis.  Outputs
-        are de-normalized to meters via stats.
+        The draws are seeded_rng(seed).standard_normal((samples, latent)),
+        so (samples, seed) fix them.  Pooled variance adds the decoder
+        variance to the spread of the sampled means; the band is mean +/-
+        1.96 sigma per axis.  Outputs are de-normalized to meters via stats.
+
+        Raises NumericError when a pooled mean or sd is not finite, as an
+        overflowing parameter makes it.
         """
         if not context:
             raise DataError("predict: empty context")
-        if noise is None:
-            if samples < 1:
-                raise DataError(f"predict: samples must be >= 1, got {samples}")
-            rng = seeded_rng(seed)
-            noise = rng.standard_normal((samples, self.config.latent))
-        noise = np.asarray(noise)
-        if noise.shape[1:] != (self.config.latent,) or len(noise) == 0:
-            raise ShapeError(f"predict: noise {noise.shape}, expected "
-                             f"[S, {self.config.latent}] with S >= 1")
+        if samples < 1:
+            raise DataError(f"predict: samples must be >= 1, got {samples}")
+        noise = seeded_rng(seed).standard_normal((samples, self.config.latent))
         targets = list(targets)
         results = [None] * len(targets)
         for rows, mus, sigmas in self.decode_targets(targets, context, noise):
@@ -384,6 +383,9 @@ class GranpModel:
             mean_m = stats.invert_xy(pooled_mean)
             sd_m = stats.scale_xy(pooled_sd)
             samples_m = stats.invert_xy(mus)
+            if not (np.isfinite(mean_m).all() and np.isfinite(sd_m).all()):
+                raise NumericError("predict: pooled mean or sd is not "
+                                   "finite; a parameter may have overflowed")
             for j, i in enumerate(rows):
                 results[i] = PredictiveDistribution(
                     mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
@@ -408,6 +410,12 @@ class GranpModel:
             yield rows, mu.data.reshape(shape), sigma.data.reshape(shape)
 
     def attention_maps(self, scene: PreparedScene):
-        """Per-layer attention over one scene: list of [heads, t_n, n, n]."""
+        """Per-layer attention over one scene: list of [heads, t_n, n, n].
+
+        Raises NumericError when a weight is not finite."""
         _, _, attention = self.encode_pairs([scene])
-        return scene.ids, [att[:, :, 0] for att in attention]
+        maps = [att[:, :, 0] for att in attention]
+        if not all(np.isfinite(m).all() for m in maps):
+            raise NumericError("attention_maps: attention weights are not "
+                               "finite; a parameter may have overflowed")
+        return scene.ids, maps

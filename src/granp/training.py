@@ -90,8 +90,12 @@ class TrainResult:
     stats: NormalizationStats
     reference: list               # raw scenes persisted as inference context
     history: list                 # per-epoch dicts: loss, recon_nll, kl, val_nll
-    val_nll: list                 # per-epoch validation NLL
     best_epoch: int
+
+    @property
+    def val_nll(self) -> list:
+        """Per-epoch validation NLL, read from history."""
+        return [row["val_nll"] for row in self.history]
 
 
 def validation_nll(model: GranpModel, val_prepared, ref_prepared) -> float:
@@ -127,7 +131,6 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
     model = GranpModel(config, seed=seed)
     adam = AdamState(model.parameters(), lr=settings.lr)
     history = []
-    val_hist = []
     best_val = math.inf
     best_params = None
     best_epoch = 0
@@ -161,19 +164,17 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
         history.append({"epoch": epoch, "loss": float(avg[0]),
                         "recon_nll": float(avg[1]), "kl": float(avg[2]),
                         "val_nll": v})
-        val_hist.append(v)
         if v < best_val:
             best_val = v
             best_epoch = epoch
             best_params = [p.data.copy() for p in model.parameters()]
     if best_params is None:
         raise NumericError(f"validation NLL was not finite in any of "
-                           f"{len(val_hist)} epochs")
+                           f"{len(history)} epochs")
     for p, data in zip(model.parameters(), best_params):
         p.data = data
     return TrainResult(model=model, stats=stats, reference=ref_raw,
-                       history=history, val_nll=val_hist,
-                       best_epoch=best_epoch)
+                       history=history, best_epoch=best_epoch)
 
 
 HISTORY_COLUMNS = ("epoch", "loss", "recon_nll", "kl", "val_nll")

@@ -1,6 +1,8 @@
 """Checks for the reverse-mode engine: shape rules, backward rules, and
 finite-difference agreement for every primitive."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,28 @@ def test_lstm_matches_unrolled_recurrence_bit_for_bit(prec, t_len, batch, hidden
             runs.append([out.data.tobytes(), grads["xw"].tobytes(),
                          grads["wh"].tobytes()])
     assert runs[0] == runs[1]
+
+
+def test_lstm_without_tape_keeps_no_per_step_arrays():
+    rng = np.random.default_rng(7)
+    xw = ad.Parameter("xw", rng.normal(size=(15, 32, 4 * 64)))
+    wh = ad.Parameter("wh", rng.normal(size=(64, 4 * 64)) / 8.0)
+
+    def peak(recorded):
+        tracemalloc.start()
+        try:
+            if recorded:
+                with ad.Tape():
+                    ad.lstm(xw.tensor, wh.tensor)
+            else:
+                ad.lstm(xw.tensor, wh.tensor)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    taped, untaped = peak(True), peak(False)
+    # taped: 15 steps of gates, g, c, h and tanh(c), about 1 MB in f32
+    assert untaped < taped / 4, (untaped, taped)
 
 
 @pytest.mark.parametrize("xw_shape,wh_shape", [

@@ -2,6 +2,7 @@
 emitted JSON invariants, exit codes, and determinism."""
 
 import copy
+import hashlib
 import json
 import shutil
 import subprocess
@@ -296,6 +297,65 @@ def test_eval_future_too_large_for_f32_is_data_error(pipeline, tmp_path,
     assert run_cli(["eval", "--data", str(data), "--ckpt", str(ckpt),
                     "--samples", "2", "--report", str(tmp_path / "r.json")]) == 3
     assert "overflow f32" in capsys.readouterr().err
+
+
+# A finite parameter near the f32 limit passes every load check, then
+# overflows in the forward pass: the command must exit 4 and write nothing,
+# not print NaN, which is not JSON.
+
+def _tampered_copy(pipeline, tmp_path, names, value=3e38):
+    """A copy of the checkpoint with every entry of the named parameters
+    set to value and params_sha256 recomputed, so it loads."""
+    _, ckpt = pipeline
+    new_ckpt = tmp_path / "ckpt"
+    shutil.copytree(ckpt, new_ckpt)
+    manifest = json.loads((new_ckpt / "manifest.json").read_text())
+    blob = bytearray((new_ckpt / "params.bin").read_bytes())
+    for entry in manifest["parameters"]:
+        if entry["name"] in names:
+            count = int(np.prod(entry["shape"]))
+            start = entry["offset"]
+            blob[start:start + 4 * count] = np.full(count, value,
+                                                    "<f4").tobytes()
+    manifest["params_sha256"] = hashlib.sha256(blob).hexdigest()
+    (new_ckpt / "params.bin").write_bytes(bytes(blob))
+    (new_ckpt / "manifest.json").write_text(json.dumps(manifest))
+    return new_ckpt
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predict_overflowing_parameter_is_numeric_error(pipeline, tmp_path,
+                                                        capsys):
+    data, _ = pipeline
+    ckpt = _tampered_copy(pipeline, tmp_path, {"decoder.2.W"})
+    out = tmp_path / "p.json"
+    assert _run_predict(data, ckpt, out) == 4
+    assert capsys.readouterr().err.startswith("error: predict: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_overflowing_parameter_is_numeric_error(pipeline, tmp_path,
+                                                     capsys):
+    data, _ = pipeline
+    ckpt = _tampered_copy(pipeline, tmp_path, {"decoder.2.W"})
+    report = tmp_path / "r.json"
+    assert run_cli(["eval", "--data", str(data), "--ckpt", str(ckpt),
+                    "--samples", "2", "--report", str(report)]) == 4
+    assert capsys.readouterr().err.startswith("error: predict: ")
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_attention_overflowing_score_is_numeric_error(pipeline, tmp_path,
+                                                      capsys):
+    data, _ = pipeline
+    ckpt = _tampered_copy(pipeline, tmp_path, {"gat1.a.h0", "gat1.a.h1"})
+    out = tmp_path / "att.json"
+    assert run_cli(["attention", "--data", str(data), "--ckpt", str(ckpt),
+                    "--scene", "2", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: attention_maps: ")
+    assert not out.exists()
 
 
 # -- attention -----------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from granp import autodiff as ad
 from granp import model as granp_model
 from granp.autodiff import Tape, backward, grad_check
-from granp.data import NormalizationStats, make_episode, synth_scenes
+from granp.data import (NormalizationStats, make_episode, seeded_rng,
+                        synth_scenes)
 from granp.errors import DataError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          LatentDistribution, ModelConfig, PreparedBatch,
@@ -212,7 +213,7 @@ def test_decode_shapes_and_sigma_floor(f64):
     rng = np.random.default_rng(2)
     h = ad.constant(rng.normal(size=(5, cfg.hidden)))
     r = ad.constant(rng.normal(size=(5, cfg.hidden)))
-    z = ad.constant(rng.normal(size=(1, cfg.latent)))
+    z = ad.constant(rng.normal(size=(5, cfg.latent)))
     mu, sigma = model.decode(h, r, z)
     assert mu.shape == (5, cfg.t_f, 2)
     assert sigma.shape == (5, cfg.t_f, 2)
@@ -225,7 +226,7 @@ def test_decode_is_deterministic(f64):
     rng = np.random.default_rng(2)
     h = ad.constant(rng.normal(size=(3, cfg.hidden)))
     r = ad.constant(rng.normal(size=(3, cfg.hidden)))
-    z = ad.constant(rng.normal(size=(1, cfg.latent)))
+    z = ad.constant(rng.normal(size=(3, cfg.latent)))
     mu1, sig1 = model.decode(h, r, z)
     mu2, sig2 = model.decode(h, r, z)
     np.testing.assert_array_equal(mu1.data, mu2.data)
@@ -238,9 +239,19 @@ def test_decode_rejects_mismatched_shapes():
     h = ad.constant(np.zeros((3, cfg.hidden)))
     with pytest.raises(ShapeError, match="decode"):
         model.decode(h, ad.constant(np.zeros((2, cfg.hidden))),
-                     ad.constant(np.zeros((1, cfg.latent))))
+                     ad.constant(np.zeros((3, cfg.latent))))
     with pytest.raises(ShapeError, match="decode"):
-        model.decode(h, h, ad.constant(np.zeros((1, cfg.latent + 1))))
+        model.decode(h, h, ad.constant(np.zeros((3, cfg.latent + 1))))
+
+
+@pytest.mark.parametrize("z_shape", [(1, 4), (2, 4), (4, 4)],
+                         ids=["one-row", "two-rows", "four-rows"])
+def test_decode_rejects_z_rows_unequal_to_target_rows(z_shape):
+    cfg = _micro_config()
+    model = GranpModel(cfg, seed=1)
+    h = ad.constant(np.zeros((3, cfg.hidden)))
+    with pytest.raises(ShapeError, match="decode"):
+        model.decode(h, h, ad.constant(np.zeros(z_shape)))
 
 
 # -- elbo ----------------------------------------------------------------------
@@ -419,17 +430,40 @@ def test_predict_interval_arithmetic(f64):
                                atol=1e-9)
 
 
-def test_predict_repeated_noise_rows_collapse_to_decoder_sigma(f64):
+def test_predict_single_draw_collapses_to_decoder_sigma(f64):
     cfg, batch = _micro_batch(seed=1, sizes=(2, 3), m=2)
     model = GranpModel(cfg, seed=3)
     stats = _flat_stats()
     target = batch.scenes[0]
-    (one,) = model.predict([target], batch.scenes, stats,
-                           noise=np.zeros((1, cfg.latent)))
-    (many,) = model.predict([target], batch.scenes, stats,
-                            noise=np.zeros((3, cfg.latent)))
-    np.testing.assert_allclose(many.mean, one.mean, atol=1e-12)
-    np.testing.assert_allclose(many.std, one.std, atol=1e-12)
+    (one,) = model.predict([target], batch.scenes, stats, samples=1, seed=4)
+    noise = seeded_rng(4).standard_normal((1, cfg.latent))
+    ((_, mu, sigma),) = model.decode_targets([target], batch.scenes, noise)
+    np.testing.assert_allclose(one.mean, mu[0, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(one.std, sigma[0, 0], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(one.samples, one.mean[None])
+
+
+def test_predict_pools_decode_targets_on_the_seeds_draws(f64):
+    rng = np.random.default_rng(30)
+    cfg = _micro_config()
+    context = [_micro_scene(rng, cfg, n) for n in (2, 3, 1)]
+    targets = [_micro_scene(rng, cfg, n) for n in (1, 4, 2)]
+    model = GranpModel(cfg, seed=3)
+    stats = NormalizationStats(mean=rng.normal(size=4),
+                               std=rng.uniform(0.5, 2.0, size=4))
+    noise = seeded_rng(7).standard_normal((6, cfg.latent))
+    expected = {}
+    for rows, mu, sigma in model.decode_targets(targets, context, noise):
+        for j, i in enumerate(rows):
+            mus = mu[:, j]
+            sd = np.sqrt(np.square(sigma[:, j]).mean(axis=0) + mus.var(axis=0))
+            expected[i] = (stats.invert_xy(mus.mean(axis=0)),
+                           stats.scale_xy(sd), stats.invert_xy(mus))
+    preds = model.predict(targets, context, stats, samples=6, seed=7)
+    assert sorted(expected) == list(range(len(targets)))
+    for i, pred in enumerate(preds):
+        for got, want in zip((pred.mean, pred.std, pred.samples), expected[i]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_predict_invariant_to_context_order(f64):
@@ -440,12 +474,11 @@ def test_predict_invariant_to_context_order(f64):
     target = _micro_scene(rng, cfg, 3)
     model = GranpModel(cfg, seed=3)
     stats = _flat_stats()
-    noise = rng.standard_normal((5, cfg.latent))
-    (base,) = model.predict([target], context, stats, noise=noise)
+    (base,) = model.predict([target], context, stats, samples=5, seed=10)
     for _ in range(5):
         perm = rng.permutation(len(context))
         (pred,) = model.predict([target], [context[i] for i in perm],
-                                stats, noise=noise)
+                                stats, samples=5, seed=10)
         np.testing.assert_allclose(pred.mean, base.mean, atol=1e-9)
         np.testing.assert_allclose(pred.std, base.std, atol=1e-9)
 
@@ -458,10 +491,9 @@ def test_predict_chunking_matches_single_pass(f64, monkeypatch):
                for n in rng.integers(1, 5, size=7)]
     model = GranpModel(cfg, seed=3)
     stats = _flat_stats()
-    noise = rng.standard_normal((3, cfg.latent))
-    whole = model.predict(targets, context, stats, noise=noise)
+    whole = model.predict(targets, context, stats, samples=3, seed=12)
     monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 2)
-    pieces = model.predict(targets, context, stats, noise=noise)
+    pieces = model.predict(targets, context, stats, samples=3, seed=12)
     for a, b in zip(whole, pieces):
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
         np.testing.assert_allclose(a.std, b.std, atol=1e-10)
@@ -476,17 +508,17 @@ def test_predict_groups_chunks_by_node_count_in_input_order(f64,
     targets = [_micro_scene(rng, cfg, n) for n in sizes]
     model = GranpModel(cfg, seed=3)
     stats = _flat_stats()
-    noise = rng.standard_normal((4, cfg.latent))
-    whole = model.predict(targets, context, stats, noise=noise)
+    whole = model.predict(targets, context, stats, samples=4, seed=14)
     for target, pred in zip(targets, whole):     # input order
-        (alone,) = model.predict([target], context, stats, noise=noise)
+        (alone,) = model.predict([target], context, stats, samples=4,
+                                 seed=14)
         np.testing.assert_allclose(pred.mean, alone.mean, rtol=0, atol=1e-12)
     chunks = []
     pairs = model.encode_pairs
     monkeypatch.setattr(model, "encode_pairs", lambda sc: chunks.append(
         [s.states.shape[1] for s in sc]) or pairs(sc))
     monkeypatch.setattr(granp_model, "PREDICT_CHUNK", 2)
-    pieces = model.predict(targets, context, stats, noise=noise)
+    pieces = model.predict(targets, context, stats, samples=4, seed=14)
     assert chunks == [[5, 5], [4, 3], [3, 2], [1, 1], [1]]
     for a, b in zip(whole, pieces):
         for field in ("mean", "std", "samples"):
@@ -676,12 +708,14 @@ def test_predict_one_pass_decode_matches_per_draw_decode(f64, monkeypatch,
     targets = [_micro_scene(rng, cfg, int(n))
                for n in rng.integers(1, 5, size=k)]
     model = GranpModel(cfg, seed=3)
-    noise = rng.standard_normal((n_draws, cfg.latent))
+    noise = seeded_rng(k).standard_normal((n_draws, cfg.latent))
 
     h_ctx, r_ctx, prior = model.encode_context(context)
     h_t, _, _ = model.encode_pairs(targets)
     r_star = model.cross.attend(h_t, h_ctx, r_ctx)
-    draws = [model.decode(h_t, r_star, sample_latent(prior, eps))
+    # one decode per draw, its z broadcast to the k target rows
+    draws = [model.decode(h_t, r_star,
+                          sample_latent(prior, np.tile(eps, (k, 1))))
              for eps in noise]
     mus = np.stack([mu.data for mu, _ in draws])
     sig2 = sum(np.square(sigma.data) for _, sigma in draws)
@@ -692,7 +726,8 @@ def test_predict_one_pass_decode_matches_per_draw_decode(f64, monkeypatch,
     decode = model.decode
     monkeypatch.setattr(model, "decode",
                         lambda *a: decodes.append(a[0].shape) or decode(*a))
-    preds = model.predict(targets, context, _flat_stats(), noise=noise)
+    preds = model.predict(targets, context, _flat_stats(), samples=n_draws,
+                          seed=k)
     assert decodes == [(n_draws * k, cfg.hidden)]
     for j, pred in enumerate(preds):
         np.testing.assert_allclose(pred.samples, mus[:, j], rtol=0,
@@ -718,7 +753,8 @@ def test_validation_nll_streams_chunks_by_node_count(f64, monkeypatch):
     h_ctx, r_ctx, prior = model.encode_context(context)
     h_t, _, _ = model.encode_pairs(val)                 # one batch
     mu, sigma = model.decode(h_t, model.cross.attend(h_t, h_ctx, r_ctx),
-                             sample_latent(prior, np.zeros(cfg.latent)))
+                             sample_latent(prior,
+                                           np.zeros((len(val), cfg.latent))))
     y = np.stack([sc.future for sc in val])
     expected = (gaussian_nll(y, mu.data, sigma.data).sum()
                 / (len(val) * cfg.t_f))
@@ -746,12 +782,6 @@ def test_predict_argument_validation():
         model.predict(batch.scenes, [], stats)
     with pytest.raises(DataError, match="samples"):
         model.predict(batch.scenes, batch.scenes, stats, samples=0)
-    with pytest.raises(ShapeError, match="noise"):
-        model.predict(batch.scenes, batch.scenes, stats,
-                      noise=np.zeros(cfg.latent))
-    with pytest.raises(ShapeError, match="noise"):       # no draws to pool
-        model.predict(batch.scenes, batch.scenes, stats,
-                      noise=np.zeros((0, cfg.latent)))
     headless = PreparedScene(ids=batch.scenes[0].ids,
                              states=batch.scenes[0].states,
                              future=None)
