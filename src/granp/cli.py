@@ -7,14 +7,15 @@ floating-point precision before any command runs.
 """
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import TARGET_HZ, load_scenes, save_scenes, synth_scenes
+from .data import (TARGET_HZ, load_scenes, save_scenes, synth_scenes,
+                   write_json)
 from .errors import GranpError, NumericError
 from .model import ModelConfig, prepare_scene
 from .training import (TrainSettings, evaluate, load_checkpoint,
@@ -31,12 +32,6 @@ ARCHIVE_NAME = "scenes.json"
 
 def _data_path(path: str) -> str:
     return os.path.join(path, ARCHIVE_NAME) if os.path.isdir(path) else path
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def _scene_index_ok(index: int, count: int) -> bool:
@@ -64,10 +59,6 @@ def attention_export(ids, per_layer) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    if args.scenes < 1:
-        print(f"error: --scenes must be >= 1, got {args.scenes}",
-              file=sys.stderr)
-        return EXIT_USAGE
     scenes = synth_scenes(args.scenes, seed=args.seed, mix=args.mix)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, ARCHIVE_NAME)
@@ -95,8 +86,7 @@ def _cmd_eval(args) -> int:
     scenes = load_scenes(_data_path(args.data))
     model, stats, reference = load_checkpoint(args.ckpt)
     report = evaluate(model, scenes, stats, reference, samples=args.samples)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+    write_json(args.report, asdict(report))
     print(report.to_json())
     return EXIT_OK
 
@@ -110,7 +100,7 @@ def _cmd_predict(args) -> int:
     context = [prepare_scene(s, stats) for s in reference]
     pred = model.predict([target], context, stats, samples=args.samples,
                          seed=args.seed)[0]
-    _write_json(args.out, {
+    write_json(args.out, {
         "scene": args.scene, "rate_hz": TARGET_HZ,
         "mean": pred.mean.tolist(), "sd": pred.std.tolist(),
         "ci_low": pred.ci_low.tolist(), "ci_high": pred.ci_high.tolist(),
@@ -129,7 +119,7 @@ def _cmd_attention(args) -> int:
                                                         stats))
     doc = attention_export(ids, per_layer)
     doc["scene"] = args.scene
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(f"wrote attention for scene {args.scene} "
           f"({len(ids)} vehicles) to {args.out}")
     return EXIT_OK
@@ -148,12 +138,14 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy seeds are non-negative integers."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type of an integer flag: below low is a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene archive")
-    p.add_argument("--scenes", type=int, required=True,
+    p.add_argument("--scenes", type=_at_least(1), required=True,
                    help="number of scenes")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--mix", type=float, default=0.7,
                    help="fraction of lane-keeping scenes (default 0.7)")
     p.add_argument("--out", required=True, help="output directory")
@@ -183,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=4, choices=[2, 4, 8])
     p.add_argument("--latent", type=int, default=0,
                    help="latent dimension (0 matches --hidden)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="per-horizon RMSE and NLL on an archive")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True, help="checkpoint directory")
     p.add_argument("--report", required=True, help="output JSON file")
-    p.add_argument("--samples", type=int, default=30)
+    p.add_argument("--samples", type=_at_least(1), default=30)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict",
@@ -199,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene", type=int, required=True,
                    help="scene index into the archive")
-    p.add_argument("--samples", type=int, default=30)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=30)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output JSON file")
     p.set_defaults(func=_cmd_predict)
 

@@ -4,6 +4,7 @@ episode assembly, and the synthetic highway generator."""
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,7 +328,8 @@ def synth_scenes(count: int, seed, mix: float = 0.5):
 
 
 # ---------------------------------------------------------------------------
-# Scene archive
+# Scene archive, and the file boundary: one atomic writer, one JSON text rule
+# and one JSON reader
 
 def scenes_to_doc(scenes) -> dict:
     return {"rate_hz": TARGET_HZ, "scenes": [
@@ -363,16 +365,44 @@ def scenes_from_doc(doc, where: str = "scene archive"):
 
 
 def save_scenes(scenes, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenes_to_doc(scenes), fh, sort_keys=True,
-                  separators=(",", ":"))
+    write_json(path, scenes_to_doc(scenes))
 
 
 def load_scenes(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as e:
-            # ValueError covers JSONDecodeError and UnicodeDecodeError
-            raise FormatError(f"{path}: invalid JSON ({e})") from None
-    return scenes_from_doc(doc, where=str(path))
+    return scenes_from_doc(read_json(path, "scene archive"), where=str(path))
+
+
+def write_atomic(path, data: bytes):
+    """Write through a temporary file in the same directory, then rename it
+    over path, so a reader sees the old file or the new one, never a part."""
+    path = os.path.realpath(path)   # replace a symlink's target, not the link
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def dump_json(doc) -> str:
+    """The JSON text of every document granp writes: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def write_json(path, doc):
+    write_atomic(path, (dump_json(doc) + "\n").encode("utf-8"))
+
+
+def read_json(path, what: str):
+    """Parse a UTF-8 JSON file; a failure is a FormatError naming `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{path}: unreadable {what} ({e})") from None

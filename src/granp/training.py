@@ -3,17 +3,19 @@ RMSE/NLL evaluation, and kinematic baselines."""
 
 import csv
 import hashlib
-import json
+import io
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .data import (NormalizationStats, TARGET_HZ, T_F, make_episode,
-                   scenes_from_doc, scenes_to_doc, seeded_rng)
+from .data import (NormalizationStats, TARGET_HZ, T_F, dump_json,
+                   make_episode, read_json, scenes_from_doc, scenes_to_doc,
+                   seeded_rng, write_atomic, write_json)
 from .errors import DataError, FormatError, NumericError
 from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
                     PredictiveDistribution, STATE_FEATURES, gaussian_nll,
@@ -65,8 +67,8 @@ class TrainSettings:
     epochs: int = 200
     lr: float = 5e-4
     batch_size: int = 32
-    val_fraction: float = 0.1
     reference_size: int = 64
+    val_fraction: ClassVar[float] = 0.1     # held-out share of the scenes
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -76,9 +78,6 @@ class TrainSettings:
                             f"context and targets), got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DataError(f"lr must be finite and positive, got {self.lr}")
-        if not 0 < self.val_fraction < 1:
-            raise DataError(f"val_fraction must be in (0, 1), got "
-                            f"{self.val_fraction}")
         if self.reference_size < 1:
             raise DataError(f"reference_size must be >= 1, got "
                             f"{self.reference_size}")
@@ -181,12 +180,13 @@ HISTORY_COLUMNS = ("epoch", "loss", "recon_nll", "kl", "val_nll")
 
 
 def save_history(history, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in history:
-            writer.writerow([row["epoch"]] + [repr(row[c])
-                                              for c in HISTORY_COLUMNS[1:]])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(HISTORY_COLUMNS)
+    for row in history:
+        writer.writerow([row["epoch"]] + [repr(row[c])
+                                          for c in HISTORY_COLUMNS[1:]])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +199,7 @@ class EvalReport:
     n_scenes: int
 
     def to_json(self) -> str:
-        return json.dumps({"rmse_m": self.rmse_m, "nll_nats": self.nll_nats,
-                           "n_scenes": self.n_scenes},
-                          sort_keys=True, separators=(",", ":"))
+        return dump_json(asdict(self))
 
 
 def _horizon_steps(t_f: int):
@@ -307,37 +305,15 @@ def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
     }
     # params.bin first: until the new manifest lands, the old manifest's
     # digest refuses the new weights
-    _write_atomic(os.path.join(dir_path, "params.bin"), params_blob)
-    _write_atomic(os.path.join(dir_path, "manifest.json"),
-                  json.dumps(manifest, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8"))
+    write_atomic(os.path.join(dir_path, "params.bin"), params_blob)
+    write_json(os.path.join(dir_path, "manifest.json"), manifest)
     return dir_path
-
-
-def _write_atomic(path, data: bytes):
-    """Write through a temporary file in the same directory, then rename it
-    over path, so a reader sees the old file or the new one, never a part."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def load_checkpoint(dir_path):
     """Returns (model, stats, reference_scenes)."""
     manifest_path = os.path.join(dir_path, "manifest.json")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError, RecursionError) as e:
-        raise FormatError(f"{manifest_path}: unreadable manifest ({e})") from None
+    manifest = read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:

@@ -4,13 +4,16 @@ emitted JSON invariants, exit codes, and determinism."""
 import copy
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import granp
 from granp import autodiff as ad
 from granp import cli
 from granp.cli import run_cli
@@ -88,7 +91,24 @@ def test_synth_same_seed_byte_identical(tmp_path):
 def test_synth_rejects_nonpositive_count(tmp_path, capsys):
     assert run_cli(["synth", "--scenes", "0", "--seed", "0",
                     "--out", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert ("error: argument --scenes: must be >= 1, got 0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_nonpositive_samples_is_usage_error_before_any_read(tmp_path, capsys,
+                                                            command, samples):
+    out = "--report" if command == "eval" else "--out"
+    argv = [command, "--data", str(tmp_path / "absent"), "--ckpt",
+            str(tmp_path / "absent"), out, str(tmp_path / "o.json"),
+            "--samples", samples]
+    if command == "predict":
+        argv += ["--scene", "0"]
+    assert run_cli(argv) == 2
+    assert (f"error: argument --samples: must be >= 1, got {samples}"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "predict"])
@@ -141,14 +161,16 @@ def test_train_unreadable_archive_is_data_error(tmp_path, capsys, content):
                     str(tmp_path / "c"), "--epochs", "1"])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "invalid JSON" in err
+    assert err.startswith("error: ") and "unreadable scene archive" in err
 
 
 def test_train_missing_data_is_data_error(tmp_path, capsys):
     code = run_cli(["train", "--data", str(tmp_path / "absent"),
                     "--out", str(tmp_path / "c")])
     assert code == 3
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'absent'}: unreadable scene "
+                          f"archive") and len(err.splitlines()) == 1
 
 
 # -- eval ----------------------------------------------------------------------
@@ -397,6 +419,63 @@ def test_gradcheck_failure_exits_numeric(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+# -- file boundary -------------------------------------------------------------
+
+@pytest.mark.parametrize("command,name", [
+    ("synth", "scenes.json"), ("train", "params.bin"),
+    ("train", "manifest.json"), ("train", "history.csv"),
+    ("eval", "report.json"), ("predict", "p.json"), ("attention", "a.json")])
+def test_interrupted_write_keeps_the_old_file(pipeline, tmp_path, monkeypatch,
+                                              capsys, command, name):
+    """An os.replace that fails on its way to one output leaves that file's
+    previous bytes and no temporary file, and exits 3 with one error line."""
+    data, ckpt = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"previous")
+    argv = {"synth": ["--scenes", "2", "--out", str(out)],
+            "train": ["--data", str(data), "--out", str(out), "--epochs", "1",
+                      "--hidden", "16", "--heads", "2", "--batch", "8"],
+            "eval": ["--data", str(data), "--ckpt", str(ckpt), "--samples",
+                     "2", "--report", str(out / name)],
+            "predict": ["--data", str(data), "--ckpt", str(ckpt), "--scene",
+                        "0", "--samples", "2", "--out", str(out / name)],
+            "attention": ["--data", str(data), "--ckpt", str(ckpt),
+                          "--scene", "0", "--out", str(out / name)]}
+    replace = os.replace
+
+    def interrupted(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(f"interrupted replacing {name}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    assert run_cli([command, *argv[command]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert (out / name).read_bytes() == b"previous"
+    assert list(out.glob("*.tmp")) == []
+
+
+def test_json_outputs_end_with_one_newline_and_load_without_it(
+        pipeline, tmp_path, capsys):
+    """Archives and manifests written before outputs ended with a newline
+    still load, and give the same prediction."""
+    data, ckpt = pipeline
+    old_data, old_ckpt = tmp_path / "data", tmp_path / "ckpt"
+    shutil.copytree(data, old_data)
+    shutil.copytree(ckpt, old_ckpt)
+    for path in (old_data / "scenes.json", old_ckpt / "manifest.json"):
+        text = path.read_bytes()
+        assert text.endswith(b"}\n") and not text.endswith(b"\n\n")
+        path.write_bytes(text[:-1])
+    assert _run_predict(data, ckpt, tmp_path / "new.json") == 0
+    assert _run_predict(old_data, old_ckpt, tmp_path / "old.json") == 0
+    capsys.readouterr()
+    assert ((tmp_path / "new.json").read_bytes()
+            == (tmp_path / "old.json").read_bytes())
+
+
 # -- mutation fuzz -------------------------------------------------------------
 
 FUZZ_VALUES = [None, True, -1, 0, 7, 0.5, -1e308, 1e308, float("nan"),
@@ -468,9 +547,13 @@ def test_mutated_manifest_and_archive_exit_with_a_documented_code(
 # -- module entry point ----------------------------------------------------------
 
 def test_python_dash_m_entry_point(tmp_path):
+    # the child imports granp from where this process did, installed or not
+    paths = [str(Path(granp.__file__).parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "granp", "synth", "--scenes", "2",
          "--seed", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "scenes.json").exists()

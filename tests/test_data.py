@@ -1,7 +1,9 @@
 """Data pipeline checks: CSV ingestion, windowing arithmetic, z-score
 round-trips, episode splits, synthetic kinematics, archives."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,7 +347,7 @@ def test_archive_rejects_bad_json(tmp_path):
 def test_archive_rejects_unreadable_file(tmp_path, content):
     p = tmp_path / "bad.json"
     p.write_bytes(content)
-    with pytest.raises(FormatError, match="bad.json: invalid JSON"):
+    with pytest.raises(FormatError, match="bad.json: unreadable scene archive"):
         data.load_scenes(p)
 
 
@@ -392,3 +394,61 @@ def test_archive_rejects_non_finite_values(tmp_path, field):
     p.write_text(json.dumps(doc))     # json writes NaN and Infinity
     with pytest.raises(FormatError, match=f"bad.json: scene 1 {field}"):
         data.load_scenes(p)
+
+
+# ---------------------------------------------------------------------------
+# file boundary
+
+# The one function allowed to make each kind of file call.
+_JSON_OWNERS = {"dump": "dump_json", "dumps": "dump_json",
+                "load": "read_json", "loads": "read_json"}
+
+
+def _file_call_owner(call):
+    """The function that owns this call under the file boundary, or None: an
+    open() that can write belongs to write_atomic, json.dump(s) to dump_json
+    and json.load(s) to read_json."""
+    fn = call.func
+    if isinstance(fn, ast.Name) and fn.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        writes = mode is not None and (not isinstance(mode, ast.Constant)
+                                       or set(mode.value) & set("wax+"))
+        return "write_atomic" if writes else None
+    if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+            and fn.value.id == "json"):
+        return _JSON_OWNERS.get(fn.attr)
+    return None
+
+
+def test_one_writer_one_json_rule_one_json_reader():
+    """Every file granp writes goes through write_atomic, and every JSON
+    document through dump_json and read_json: no module opens a file for
+    writing or calls json itself."""
+    strays, owned = [], []
+
+    def visit(node, func, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            owner = _file_call_owner(node)
+            if owner is not None:
+                (owned if owner == func else strays).append(
+                    f"{module}:{node.lineno} belongs in {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, module)
+
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path.name)
+    assert strays == []
+    assert len(owned) == 3      # the writer, the text rule and the reader
+
+
+def test_write_atomic_replaces_a_symlinks_target_not_the_link(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"previous")
+    link.symlink_to(target)
+    data.write_atomic(link, b"new")
+    assert link.is_symlink() and target.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "target.json"]

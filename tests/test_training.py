@@ -167,14 +167,17 @@ def test_train_rejects_negative_seed():
     ("lr", 0.0, "lr"),
     ("lr", float("nan"), "lr"),
     ("lr", float("inf"), "lr"),
-    ("val_fraction", 0.0, "val_fraction"),
-    ("val_fraction", 1.0, "val_fraction"),
-    ("val_fraction", float("nan"), "val_fraction"),
     ("reference_size", 0, "reference_size"),
 ])
 def test_train_settings_reject_bad_values(field, value, match):
     with pytest.raises(DataError, match=match):
         TrainSettings(**{field: value})
+
+
+def test_val_fraction_is_a_constant_not_a_setting():
+    assert TrainSettings().val_fraction == 0.1
+    with pytest.raises(TypeError):
+        TrainSettings(val_fraction=0.2)
 
 
 def test_validation_nll_is_deterministic():
