@@ -52,6 +52,18 @@ def precision(name: str):
         set_precision(prev)
 
 
+@contextlib.contextmanager
+def numeric_errors(where: str):
+    """Run the block with numpy raising at the op that overflows, divides by
+    zero or makes a NaN, as NumericError "<where>: <numpy's message>";
+    underflow is ignored.  NaN inputs raise nothing, so must not enter."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except FloatingPointError as err:
+        raise NumericError(f"{where}: {err}") from None
+
+
 # ---------------------------------------------------------------------------
 # Tensor / Tape / Parameter
 
@@ -384,8 +396,13 @@ def log(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g / x.data,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic in tanh form: 1 / (1 + exp(-x)) overflows below -88 in f32."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
+    out = Tensor(_sigmoid(x.data))
     return _record(out, (x,), lambda g: (g * out.data * (1.0 - out.data),))
 
 
@@ -408,8 +425,9 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = Tensor(np.logaddexp(0.0, x.data))
-    return _record(out, (x,), lambda g: (g / (1.0 + np.exp(-x.data)),))
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
+    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))))
+    return _record(out, (x,), lambda g: (g * _sigmoid(x.data),))
 
 
 def softmax_rows(x: Tensor, mask=None) -> Tensor:
@@ -462,7 +480,7 @@ def lstm(xw: Tensor, wh: Tensor) -> Tensor:
     h = c = np.zeros((batch, n), dtype=xw.data.dtype)
     for t in range(t_len):
         z = xw.data[t] + h @ w
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = _sigmoid(z)
         g = np.tanh(z[:, 2 * n:3 * n])
         c_out = s[:, n:2 * n] * c + s[:, :n] * g
         tc = np.tanh(c_out)

@@ -223,7 +223,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # names the command for what it computes outside the library's own
+        # channels, such as a band or a metric of finite predictions
+        with ad.numeric_errors(args.command):
+            return args.func(args)
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

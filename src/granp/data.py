@@ -189,19 +189,31 @@ def resample_and_window(tracks, source_hz: int, ego_ids=None):
 @dataclass
 class NormalizationStats:
     """Per-feature z-score parameters for (x, y, s, a), fitted on history
-    states of the training split."""
+    states of the training split: four finite means and four finite,
+    positive sds, or a DataError."""
 
     mean: np.ndarray    # [4]
     std: np.ndarray     # [4], guarded to be >= 1e-8 -> 1
 
+    def __post_init__(self):
+        for name, v in (("mean", self.mean), ("std", self.std)):
+            if np.shape(v) != (4,) or not np.isfinite(v).all():
+                raise DataError(f"normalization {name} "
+                                f"{np.asarray(v).tolist()} is not 4 finite values")
+        if not (np.asarray(self.std) > 0).all():
+            raise DataError("normalization std is not positive")
+
     @classmethod
     def fit(cls, scenes):
+        """Moments of every history state; a state so large that they
+        overflow is a DataError, not a zeroed feature."""
         if len(scenes) < 2:
             raise DataError(f"need at least 2 scenes to fit, got {len(scenes)}")
         states = np.concatenate([h for sc in scenes
                                  for h in sc.history.values()], axis=0)
-        mean = states.mean(axis=0)
-        std = states.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):   # __post_init__ checks
+            mean = states.mean(axis=0)
+            std = states.std(axis=0)
         std = np.where(std < 1e-8, 1.0, std)
         return cls(mean=mean, std=std)
 

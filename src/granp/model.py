@@ -204,6 +204,9 @@ class GranpModel:
         so padding never reaches a real node's output.
         """
         cfg = self.config
+        # prepare_scene's rule, for hand-built scenes too: NaN fails it, as
+        # NaN arithmetic raises nothing in ad.numeric_errors
+        limit = np.finfo(ad.dtype()).max
         for sc in scenes:
             if sc.states.shape[0] != cfg.t_n or sc.states.shape[2] != STATE_FEATURES:
                 raise DataError(f"scene states {sc.states.shape}, expected "
@@ -211,13 +214,15 @@ class GranpModel:
             if sc.states.shape[1] == 0:
                 raise DataError(f"scene with ids {sc.ids}: states "
                                 f"{sc.states.shape} have no nodes")
+            if sc.future is not None and not (np.abs(sc.future) <= limit).all():
+                raise DataError(f"scene with ids {sc.ids}: future is NaN or "
+                                f"would overflow {ad.get_precision()}")
         counts = np.array([sc.states.shape[1] for sc in scenes])
         n_max = counts.max()
         states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES))
         for i, sc in enumerate(scenes):
             states[:, i, :counts[i]] = sc.states
-        # one pass per chunk, as prepare_scene checks: NaN fails it too
-        limit = np.finfo(ad.dtype()).max
+        # the states in one pass per chunk
         if not (np.abs(states) <= limit).all():
             bad = next(sc for sc in scenes if not (np.abs(sc.states) <= limit).all())
             raise DataError(f"scene with ids {bad.ids}: states are NaN or "
@@ -365,8 +370,8 @@ class GranpModel:
         variance to the spread of the sampled means; the band is mean +/-
         1.96 sigma per axis.  Outputs are de-normalized to meters via stats.
 
-        Raises NumericError when a pooled mean or sd is not finite, as an
-        overflowing parameter makes it.
+        Runs under ad.numeric_errors("predict"): an op that overflows, as
+        an overflowing parameter makes one, raises NumericError naming it.
         """
         if not context:
             raise DataError("predict: empty context")
@@ -375,20 +380,18 @@ class GranpModel:
         noise = seeded_rng(seed).standard_normal((samples, self.config.latent))
         targets = list(targets)
         results = [None] * len(targets)
-        for rows, mus, sigmas in self.decode_targets(targets, context, noise):
-            mus = mus.astype(np.float64)
-            sig2 = np.square(sigmas).mean(axis=0, dtype=np.float64)
-            pooled_mean = mus.mean(axis=0)
-            pooled_sd = np.sqrt(sig2 + mus.var(axis=0))
-            mean_m = stats.invert_xy(pooled_mean)
-            sd_m = stats.scale_xy(pooled_sd)
-            samples_m = stats.invert_xy(mus)
-            if not (np.isfinite(mean_m).all() and np.isfinite(sd_m).all()):
-                raise NumericError("predict: pooled mean or sd is not "
-                                   "finite; a parameter may have overflowed")
-            for j, i in enumerate(rows):
-                results[i] = PredictiveDistribution(
-                    mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
+        with ad.numeric_errors("predict"):
+            for rows, mus, sigmas in self.decode_targets(targets, context, noise):
+                mus = mus.astype(np.float64)
+                sig2 = np.square(sigmas).mean(axis=0, dtype=np.float64)
+                pooled_mean = mus.mean(axis=0)
+                pooled_sd = np.sqrt(sig2 + mus.var(axis=0))
+                mean_m = stats.invert_xy(pooled_mean)
+                sd_m = stats.scale_xy(pooled_sd)
+                samples_m = stats.invert_xy(mus)
+                for j, i in enumerate(rows):
+                    results[i] = PredictiveDistribution(
+                        mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
         return results
 
     def decode_targets(self, targets, context, noise):
@@ -412,10 +415,7 @@ class GranpModel:
     def attention_maps(self, scene: PreparedScene):
         """Per-layer attention over one scene: list of [heads, t_n, n, n].
 
-        Raises NumericError when a weight is not finite."""
-        _, _, attention = self.encode_pairs([scene])
-        maps = [att[:, :, 0] for att in attention]
-        if not all(np.isfinite(m).all() for m in maps):
-            raise NumericError("attention_maps: attention weights are not "
-                               "finite; a parameter may have overflowed")
-        return scene.ids, maps
+        Runs under ad.numeric_errors("attention_maps"), as predict does."""
+        with ad.numeric_errors("attention_maps"):
+            _, _, attention = self.encode_pairs([scene])
+        return scene.ids, [att[:, :, 0] for att in attention]

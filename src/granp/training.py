@@ -18,7 +18,7 @@ from .data import (NormalizationStats, TARGET_HZ, T_F, dump_json,
                    seeded_rng, write_atomic, write_json)
 from .errors import DataError, FormatError, NumericError
 from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
-                    PredictiveDistribution, STATE_FEATURES, gaussian_nll,
+                    PredictiveDistribution, gaussian_nll,
                     prepare_scene)
 
 CHECKPOINT_VERSION = 1
@@ -143,23 +143,15 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
                 continue    # tail too small to form an episode
             batch = make_episode(chunk, rng)
             noise = rng.standard_normal(config.latent)
-            with Tape() as tape:
-                try:
+            with ad.numeric_errors(f"epoch {epoch}, batch {b}"):
+                with Tape() as tape:
                     loss, diag = model.elbo_loss(batch, noise)
-                except NumericError as err:
-                    # Divergence can surface as non-finite sigmas inside the
-                    # forward pass before a loss value exists.
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, batch {b}") from err
-            if not np.isfinite(loss.data).all():
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {b}")
-            grads = backward(tape, loss, model.parameters())
-            adam.step(grads)
+                adam.step(backward(tape, loss, model.parameters()))
             sums += (loss.item(), diag["recon_nll"], diag["kl"])
             batches += 1
         avg = sums / max(batches, 1)
-        v = validation_nll(model, prep_val, ref_prep)
+        with ad.numeric_errors(f"epoch {epoch}, validation"):
+            v = validation_nll(model, prep_val, ref_prep)
         history.append({"epoch": epoch, "loss": float(avg[0]),
                         "recon_nll": float(avg[1]), "kl": float(avg[2]),
                         "val_nll": v})
@@ -374,16 +366,11 @@ def load_checkpoint(dir_path):
             raise FormatError(f"{params_path}: SHA-256 does not match the "
                               f"manifest's params_sha256; params.bin is "
                               f"from another save")
-        norm = {k: np.array(manifest["normalization"][k])
-                for k in ("mean", "std")}
-        for k, v in norm.items():
-            if v.shape != (STATE_FEATURES,) or not np.isfinite(v).all():
-                raise FormatError(f"{manifest_path}: normalization {k} is "
-                                  f"not {STATE_FEATURES} finite values")
-        if (norm["std"] <= 0).any():
-            raise FormatError(f"{manifest_path}: normalization std is not "
-                              f"positive")
-        stats = NormalizationStats(**norm)
+        try:
+            stats = NormalizationStats(**{k: np.array(manifest["normalization"][k])
+                                          for k in ("mean", "std")})
+        except DataError as err:
+            raise FormatError(f"{manifest_path}: {err}") from None
         reference = scenes_from_doc(manifest["reference_context"],
                                     where=manifest_path)
     except (KeyError, TypeError, ValueError, OSError) as e:

@@ -1,13 +1,14 @@
 """Checks for the reverse-mode engine: shape rules, backward rules, and
 finite-difference agreement for every primitive."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from granp import autodiff as ad
-from granp.errors import DataError, ShapeError
+from granp.errors import DataError, NumericError, ShapeError
 from granp.verification import _primitive_cases
 
 
@@ -315,6 +316,82 @@ def test_lstm_without_tape_keeps_no_per_step_arrays():
 def test_lstm_shape_errors(xw_shape, wh_shape):
     with pytest.raises(ShapeError, match="^lstm: "):
         ad.lstm(ad.Tensor(np.zeros(xw_shape)), ad.Tensor(np.zeros(wh_shape)))
+
+
+# ---------------------------------------------------------------------------
+# numeric_errors: numpy raises at the op that fails; saturation is not one
+
+# each check runs once under numpy's defaults, where the global
+# error::RuntimeWarning filter catches a warning, and once in the channel
+_NO_WARNING_AND_NO_RAISE = [contextlib.nullcontext, lambda: ad.numeric_errors("saturated")]
+
+
+@pytest.mark.parametrize("x", [-100.0, 100.0])
+@pytest.mark.parametrize("ctx", _NO_WARNING_AND_NO_RAISE, ids=["defaults", "channel"])
+def test_sigmoid_and_softplus_saturate_in_f32(x, ctx):
+    p = ad.Parameter("x", np.full(3, x))
+    runs = {}
+    with ctx():
+        for fn in (ad.sigmoid, ad.softplus):
+            with ad.Tape() as tape:
+                out = fn(p.tensor)
+                root = ad.reduce_sum(out)
+            runs[fn] = out.data, ad.backward(tape, root, [p])["x"]
+    s, g_s = runs[ad.sigmoid]
+    sp, g_sp = runs[ad.softplus]
+    assert s.dtype == sp.dtype == np.float32
+    np.testing.assert_array_equal(s, 1.0 if x > 0 else 0.0)
+    np.testing.assert_array_equal(g_s, 0.0)
+    np.testing.assert_allclose(sp, max(x, 0.0), rtol=0, atol=1e-30)
+    np.testing.assert_array_equal(g_sp, 1.0 if x > 0 else 0.0)
+
+
+@pytest.mark.parametrize("x", [-100.0, 100.0])
+@pytest.mark.parametrize("ctx", _NO_WARNING_AND_NO_RAISE, ids=["defaults", "channel"])
+def test_lstm_saturates_in_f32(x, ctx):
+    rng = np.random.default_rng(4)
+    t_len, hidden = 5, 3
+    xw = ad.Parameter("xw", np.full((t_len, 2, 4 * hidden), x))
+    wh = ad.Parameter("wh", rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden)))
+    with ctx():
+        with ad.Tape() as tape:
+            out = ad.lstm(xw.tensor, wh.tensor)
+            root = ad.reduce_sum(out)
+        grads = ad.backward(tape, root, [xw, wh])
+    # every gate 1: c counts the steps; every gate 0: c and h stay 0
+    expected = np.tanh(np.float32(t_len)) if x > 0 else 0.0
+    np.testing.assert_array_equal(out.data, np.full((2, hidden), expected, np.float32))
+    for g in grads.values():    # saturated gates pass no gradient
+        np.testing.assert_array_equal(g, 0.0)
+
+
+def test_numeric_errors_restores_numpys_error_state():
+    before = np.geterr()
+    with ad.numeric_errors("fine"):
+        assert np.geterr() == {"divide": "raise", "over": "raise",
+                               "under": "ignore", "invalid": "raise"}
+    assert np.geterr() == before
+    with pytest.raises(NumericError):
+        with ad.numeric_errors("failing"):
+            np.full(2, 3e38, np.float32) * np.float32(10.0)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("op,what", [
+    (lambda: np.full(2, 3e38, np.float32) * np.float32(10.0), "overflow encountered in multiply"),
+    (lambda: np.log(np.zeros(2)), "divide by zero encountered in log"),
+    (lambda: np.sqrt(np.full(2, -1.0)), "invalid value encountered in sqrt"),
+], ids=["overflow", "divide", "invalid"])
+def test_numeric_errors_names_the_place_and_the_op(op, what):
+    with pytest.raises(NumericError, match=f"^epoch 3, batch 1: {what}$"):
+        with ad.numeric_errors("epoch 3, batch 1"):
+            op()
+
+
+def test_numeric_errors_ignores_underflow():
+    with ad.numeric_errors("underflow"):
+        tiny = np.exp(np.full(2, -200.0, np.float32))
+    np.testing.assert_array_equal(tiny, 0.0)
 
 
 # ---------------------------------------------------------------------------

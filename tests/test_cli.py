@@ -173,6 +173,26 @@ def test_train_missing_data_is_data_error(tmp_path, capsys):
                           f"archive") and len(err.splitlines()) == 1
 
 
+def test_train_on_a_coordinate_whose_moments_overflow_is_data_error(
+        pipeline, tmp_path, capsys):
+    # finite, so the archive loads, but its square overflows the fit's std:
+    # the x feature would be zeroed and the manifest would hold std inf
+    data, _ = pipeline
+    archive = json.loads((data / "scenes.json").read_text())
+    # train --seed 1 holds out the first 2 of its seeded permutation of 20
+    scene = archive["scenes"][int(np.random.default_rng(1).permutation(20)[-1])]
+    scene["history"][str(scene["ego"])][4][0] = 1.7e308
+    (tmp_path / "scenes.json").write_text(json.dumps(archive))
+    out = tmp_path / "c"
+    code = run_cli(["train", "--data", str(tmp_path / "scenes.json"),
+                    "--out", str(out), "--epochs", "1", "--hidden", "16",
+                    "--heads", "2", "--batch", "8", "--seed", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: normalization std [inf, ") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
 # -- eval ----------------------------------------------------------------------
 
 def test_eval_writes_report(pipeline, tmp_path, capsys):
@@ -345,18 +365,23 @@ def _tampered_copy(pipeline, tmp_path, names, value=3e38):
     return new_ckpt
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _one_error_line(err: str, prefix: str) -> bool:
+    """stderr is exactly one line, the error: line that starts with prefix;
+    no numpy RuntimeWarning is printed before it."""
+    return err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_predict_overflowing_parameter_is_numeric_error(pipeline, tmp_path,
                                                         capsys):
     data, _ = pipeline
     ckpt = _tampered_copy(pipeline, tmp_path, {"decoder.2.W"})
     out = tmp_path / "p.json"
     assert _run_predict(data, ckpt, out) == 4
-    assert capsys.readouterr().err.startswith("error: predict: ")
+    assert _one_error_line(capsys.readouterr().err,
+                           "error: predict: overflow encountered in ")
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_overflowing_parameter_is_numeric_error(pipeline, tmp_path,
                                                      capsys):
     data, _ = pipeline
@@ -364,11 +389,40 @@ def test_eval_overflowing_parameter_is_numeric_error(pipeline, tmp_path,
     report = tmp_path / "r.json"
     assert run_cli(["eval", "--data", str(data), "--ckpt", str(ckpt),
                     "--samples", "2", "--report", str(report)]) == 4
-    assert capsys.readouterr().err.startswith("error: predict: ")
+    assert _one_error_line(capsys.readouterr().err,
+                           "error: predict: overflow encountered in ")
     assert not report.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_metrics_that_overflow_are_numeric_error(pipeline, tmp_path,
+                                                     capsys):
+    # a finite, positive sd of 1e180 m passes every load check and gives
+    # finite predictions, whose squared errors overflow
+    def edit(doc):
+        doc["normalization"]["std"][0] = 1e180
+    data, ckpt = _edited_copy(pipeline, tmp_path, edit_manifest=edit)
+    report = tmp_path / "r.json"
+    assert run_cli(["eval", "--data", str(data), "--ckpt", str(ckpt),
+                    "--samples", "2", "--report", str(report)]) == 4
+    assert _one_error_line(capsys.readouterr().err,
+                           "error: eval: overflow encountered in ")
+    assert not report.exists()
+
+
+def test_predict_band_that_overflows_is_numeric_error(pipeline, tmp_path,
+                                                      capsys):
+    # the pooled mean is finite, near the f64 limit, and mean + 1.96 sd is not
+    def edit(doc):
+        doc["normalization"]["mean"][0] = 1.79e308
+        doc["normalization"]["std"][0] = 1e306
+    data, ckpt = _edited_copy(pipeline, tmp_path, edit_manifest=edit)
+    out = tmp_path / "p.json"
+    assert _run_predict(data, ckpt, out) == 4
+    assert _one_error_line(capsys.readouterr().err,
+                           "error: predict: overflow encountered in add")
+    assert not out.exists()
+
+
 def test_attention_overflowing_score_is_numeric_error(pipeline, tmp_path,
                                                       capsys):
     data, _ = pipeline
@@ -376,7 +430,25 @@ def test_attention_overflowing_score_is_numeric_error(pipeline, tmp_path,
     out = tmp_path / "att.json"
     assert run_cli(["attention", "--data", str(data), "--ckpt", str(ckpt),
                     "--scene", "2", "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("error: attention_maps: ")
+    assert _one_error_line(capsys.readouterr().err,
+                           "error: attention_maps: overflow encountered in ")
+    assert not out.exists()
+
+
+def test_overflowing_parameter_prints_one_line_in_a_real_process(pipeline,
+                                                                 tmp_path):
+    # in-process tests turn warnings into errors; a user's process prints
+    # them under Python's default filter, so this runs one
+    data, _ = pipeline
+    ckpt = _tampered_copy(pipeline, tmp_path, {"decoder.2.W"})
+    out = tmp_path / "p.json"
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "granp", "predict", "--data", str(data),
+         "--ckpt", str(ckpt), "--scene", "2", "--samples", "4",
+         "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 4, proc.stderr
+    assert _one_error_line(proc.stderr, "error: predict: overflow encountered in "), proc.stderr
     assert not out.exists()
 
 
@@ -546,14 +618,18 @@ def test_mutated_manifest_and_archive_exit_with_a_documented_code(
 
 # -- module entry point ----------------------------------------------------------
 
-def test_python_dash_m_entry_point(tmp_path):
-    # the child imports granp from where this process did, installed or not
+def _child_env() -> dict:
+    """The environment of a `python -m granp` child: it imports granp from
+    where this process did, installed or not."""
     paths = [str(Path(granp.__file__).parents[1]),
              os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_python_dash_m_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "granp", "synth", "--scenes", "2",
          "--seed", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "scenes.json").exists()

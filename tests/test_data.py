@@ -216,6 +216,27 @@ def test_zscore_constant_feature_guard():
     np.testing.assert_array_equal(stats.apply_states(h)[:, 0], 0.0)
 
 
+@pytest.mark.parametrize("mean,std,match", [
+    ([0.0, np.inf, 0.0, 0.0], [1.0] * 4, r"mean \[0.0, inf, 0.0, 0.0\] is not 4 finite"),
+    ([0.0] * 3, [1.0] * 4, "mean .* is not 4 finite"),
+    ([0.0] * 4, [1.0, np.nan, 1.0, 1.0], "std .* is not 4 finite"),
+    ([0.0] * 4, [1.0, 0.0, 1.0, 1.0], "std is not positive"),
+], ids=["infinite-mean", "three-means", "nan-sd", "zero-sd"])
+def test_normalization_stats_need_four_finite_means_and_positive_sds(mean, std, match):
+    with pytest.raises(DataError, match=f"^normalization {match}"):
+        data.NormalizationStats(mean=np.array(mean), std=np.array(std))
+
+
+@pytest.mark.parametrize("huge_states,feature", [(1, "std"), (2, "mean")])
+def test_fit_rejects_states_whose_moments_overflow(huge_states, feature):
+    # one 1.7e308 overflows the square in the std; two overflow the sum
+    scenes = _toy_scenes()
+    for sc in scenes[:huge_states]:
+        sc.history[sc.ego][4, 0] = 1.7e308
+    with pytest.raises(DataError, match=rf"^normalization {feature} \[(inf|nan), "):
+        data.NormalizationStats.fit(scenes)
+
+
 def test_fit_needs_two_scenes():
     with pytest.raises(DataError):
         data.NormalizationStats.fit(_toy_scenes(count=2)[:1])

@@ -566,6 +566,27 @@ def test_scene_with_non_finite_states_is_rejected(others):
         model.predict(targets, context, _flat_stats(), samples=2)
 
 
+@pytest.mark.parametrize("value", [np.nan, 1e39])
+@pytest.mark.parametrize("use", ["predict context", "training batch"])
+def test_scene_with_nan_or_too_large_future_is_rejected(value, use):
+    # a hand-built scene skips prepare_scene's check, and NaN arithmetic
+    # would pass the numeric channel silently
+    rng = np.random.default_rng(17)
+    cfg = _micro_config()
+    good = [_micro_scene(rng, cfg, n) for n in (2, 3)]
+    bad = PreparedScene(ids=(7, 8), states=rng.normal(size=(cfg.t_n, 2, 4)),
+                        future=rng.normal(size=(cfg.t_f, 2)))
+    bad.future[1, 0] = value
+    model = GranpModel(cfg, seed=3)
+    with pytest.raises(DataError, match=r"ids \(7, 8\): future is NaN or "
+                                        r"would overflow f32"):
+        if use == "predict context":
+            model.predict(good[:1], good + [bad], _flat_stats(), samples=2)
+        else:
+            with ad.Tape():
+                model.elbo_loss(PreparedBatch(scenes=good + [bad], m=2), np.zeros(cfg.latent))
+
+
 def test_predict_rejects_negative_seed():
     cfg, batch = _micro_batch(seed=2)
     model = GranpModel(cfg, seed=3)

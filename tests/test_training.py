@@ -114,12 +114,24 @@ def test_train_same_seed_is_bit_identical():
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # deliberate overflow
+# An lr of 1e12 overflows within a few steps, and the error names the step
+# whose numpy op overflowed.
+
 def test_train_aborts_on_nonfinite_loss_naming_the_batch():
+    scenes = synth_scenes(8, seed=3, mix=0.5)
+    settings = TrainSettings(epochs=4, batch_size=3, lr=1e12,
+                             reference_size=2)
+    with pytest.raises(NumericError,
+                       match=r"^epoch \d+, batch \d+: overflow encountered in "):
+        train(scenes, _tiny_config(), settings, seed=5)
+
+
+def test_train_aborts_in_validation_when_one_batch_makes_an_epoch():
     scenes = synth_scenes(8, seed=3, mix=0.5)
     settings = TrainSettings(epochs=4, batch_size=8, lr=1e12,
                              reference_size=2)
-    with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+    with pytest.raises(NumericError,
+                       match=r"^epoch 1, validation: overflow encountered in "):
         train(scenes, _tiny_config(), settings, seed=5)
 
 
