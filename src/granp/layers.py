@@ -137,49 +137,23 @@ class GatLayer:
         return [p for pair in zip(self.w, self.a) for p in pair]
 
     def forward_seq(self, nodes_seq: Tensor, mask):
-        """nodes [..., n, in_dim] -> (out [..., n, out_dim], attention
-        [heads, ..., n, n]); the leading dims may be none.
+        """nodes [..., n, in_dim] -> (out [..., q, out_dim], attention
+        [heads, ..., q, n]); the leading dims may be none.
 
         ``mask`` holds one graph per leading index of nodes but the first,
-        which every step T shares: [n, n] for nodes [n, in_dim] or
-        [T, n, in_dim], [B, n, n] for [T, B, n, in_dim].  Entries > 0 are
-        edges, and every row needs one.  A batch of scenes comes in the
-        padded layout, one n_max x n_max block per scene, so attention
-        stays within a scene.
+        which every step T shares: [q, n] for nodes [n, in_dim] or
+        [T, n, in_dim], [B, q, n] for [T, B, n, in_dim].  Entries > 0 are
+        edges, and every row needs one.  Row i is query node i, so q = n
+        updates every node and ``mask[:, :1]`` only the first (the ego's
+        row, exact: every node stays a key).  A batch of scenes comes in
+        the padded layout, one block per scene, so attention stays within
+        a scene.
 
-        All heads run in one pass.  Head k's scores are x W_k a1_k and
-        x W_k a2_k, so the score vectors are folded through their
-        projections and every head's scores come from one x @ [in_dim, 2H]
-        GEMM.  Attention is held heads-inner, [T, ..., n, H, n], so that
-        sum_k alpha_k x W_k / H is one batched alpha @ x followed by one
-        GEMM with the per-head W stacked along rows; no node-sized array
-        is made per head.
+        The layer is one tape node, ``ad.graph_attention``, which checks
+        the shapes and the edges.
         """
-        edges = np.asarray(mask) > 0
-        lead, n = tuple(nodes_seq.shape[:-2]), nodes_seq.shape[-2]
-        if edges.shape != lead[1:] + (n, n):
-            raise ShapeError(f"gat_forward: nodes {nodes_seq.shape} but mask is {edges.shape}")
-        isolated = np.argwhere(~edges.any(axis=-1))
-        if len(isolated):
-            raise DataError(f"gat_forward: mask row {isolated[0].tolist()} has no edge")
-        heads, d_out = self.heads, self.out_dim
-        swap = tuple(range(nodes_seq.ndim - 2)) + (nodes_seq.ndim - 1, nodes_seq.ndim - 2)
-        # column k is W_k a1_k, column H + k is W_k a2_k
-        a_fold = ad.concat(
-            [ad.matmul(w.tensor, a.tensor[:d_out]) for w, a in zip(self.w, self.a)]
-            + [ad.matmul(w.tensor, a.tensor[d_out:]) for w, a in zip(self.w, self.a)],
-            axis=1)
-        f = ad.matmul(nodes_seq, a_fold)                         # [T, ..., n, 2H]
-        f1 = f[..., :heads].reshape(lead + (n, heads, 1))
-        f2 = ad.transpose(f[..., heads:], swap).reshape(lead + (1, heads, n))
-        alpha = ad.softmax_rows(ad.leaky_relu(f1 + f2),
-                                edges[..., :, None, :])         # [T, ..., n, H, n]
-        w_mean = ad.concat([w.tensor for w in self.w], axis=0) * ad.constant(1.0 / heads)
-        # alpha @ x, [T, ..., n·H, in_dim], is the widest temporary; no
-        # name holds it past the projection
-        out = ad.matmul(ad.matmul(alpha.reshape(lead + (n * heads, n)), nodes_seq)
-                        .reshape(lead + (n, heads * self.in_dim)), w_mean)
-        return ad.relu(out), np.moveaxis(alpha.data, -2, 0)
+        return ad.graph_attention(nodes_seq, [p.tensor for p in self.parameters()],
+                                  np.asarray(mask) > 0)
 
     forward = forward_seq   # the name single-graph callers use
 

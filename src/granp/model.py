@@ -234,13 +234,14 @@ class GranpModel:
     def encode_pairs(self, scenes):
         """Per-timestep GAT over the padded scene graphs, then the LSTM over
         each ego sequence.  Returns (H [B, d], ego_seq [t_n, B, d],
-        attention), with one [heads, t_n, B, n_max, n_max] array per GAT
-        layer."""
+        attention), with one [heads, t_n, B, q, n_max] array per GAT layer:
+        q is n_max but for the last layer, which computes only the ego's
+        query row (q = 1), the one row that the LSTM reads."""
         states, mask = self._stack(scenes)
         h = self.embed.forward(ad.constant(states))
         attention = []
-        for gat in self.gat:
-            h, att = gat.forward_seq(h, mask)
+        for i, gat in enumerate(self.gat):
+            h, att = gat.forward_seq(h, mask if i + 1 < len(self.gat) else mask[:, :1])
             attention.append(att)
         ego_seq = h[:, :, 0]
         return self.lstm.encode(ego_seq), ego_seq, attention
@@ -413,7 +414,8 @@ class GranpModel:
             yield rows, mu.data.reshape(shape), sigma.data.reshape(shape)
 
     def attention_maps(self, scene: PreparedScene):
-        """Per-layer attention over one scene: list of [heads, t_n, n, n].
+        """Per-layer attention over one scene: a list of [heads, t_n, n, n]
+        arrays, the last one [heads, t_n, 1, n], the ego's row only.
 
         Runs under ad.numeric_errors("attention_maps"), as predict does."""
         with ad.numeric_errors("attention_maps"):

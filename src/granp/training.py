@@ -226,14 +226,16 @@ def metrics_from_predictions(predictions, futures_m, t_f: int) -> EvalReport:
 
 def evaluate(model: GranpModel, scenes, stats, reference, samples: int = 30,
              seed=0) -> EvalReport:
-    """Pooled predictive metrics on raw scenes against their true futures."""
+    """Pooled predictive metrics on raw scenes against their true futures.
+    The metrics run under ad.numeric_errors("evaluate"), as predict does."""
     if not scenes:
         raise DataError("evaluate: no scenes")
     targets = [prepare_scene(s, stats) for s in scenes]
     context = [prepare_scene(s, stats) for s in reference]
     preds = model.predict(targets, context, stats, samples=samples, seed=seed)
-    return metrics_from_predictions(preds, [s.future for s in scenes],
-                                    model.config.t_f)
+    with ad.numeric_errors("evaluate"):
+        return metrics_from_predictions(preds, [s.future for s in scenes],
+                                        model.config.t_f)
 
 
 def cv_baseline(scene) -> PredictiveDistribution:

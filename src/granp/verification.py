@@ -35,6 +35,17 @@ def _primitive_cases(rng: np.random.Generator) -> dict:
     lstm_rng = rng.spawn(1)[0]
     lx = ad.Parameter("lx", lstm_rng.normal(size=(3, 2, 8)))     # T 3, B 2
     lh = ad.Parameter("lh", lstm_rng.normal(size=(2, 8)))        # h 2
+    # graph_attention: T 2 over 2 padded graphs of 4 and 1 nodes, D 3,
+    # 2 heads of width 3; 2 of the 4 nodes query, and graph 2's second
+    # query row is padding, with only its self-loop.  Scaled so that no
+    # softmax saturates.
+    gat_rng = rng.spawn(1)[0]
+    gx = ad.Parameter("gx", gat_rng.normal(size=(2, 2, 4, 3)))
+    gat_params = [ad.Parameter(f"{kind}{k}", gat_rng.normal(size=shape) * 0.5)
+                  for k in range(2) for kind, shape in (("gW", (3, 3)), ("ga", (6, 1)))]
+    gat_mask = np.eye(4, dtype=bool)[None].repeat(2, axis=0)
+    gat_mask[0] = True
+    gat_off = ad.constant(gat_rng.normal(size=(2, 2, 2, 3)))
     t = w.tensor
     objectives = {
         "add": lambda: ad.reduce_sum(ad.mul(ad.add(t, off), off)),
@@ -59,8 +70,10 @@ def _primitive_cases(rng: np.random.Generator) -> dict:
         "softplus": lambda: ad.reduce_sum(ad.softplus(t)),
         "softmax_rows": lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(t), off)),
         "lstm": lambda: ad.reduce_sum(ad.lstm(lx.tensor, lh.tensor)),
+        "graph_attention": lambda: ad.reduce_sum(ad.mul(ad.graph_attention(
+            gx.tensor, [p.tensor for p in gat_params], gat_mask[:, :2])[0], gat_off)),
     }
-    params = {"conv1d": [kw], "lstm": [lx, lh]}
+    params = {"conv1d": [kw], "lstm": [lx, lh], "graph_attention": [gx] + gat_params}
     return {name: (fn, params.get(name, [w]))
             for name, fn in objectives.items()}
 

@@ -284,6 +284,108 @@ def test_lstm_matches_unrolled_recurrence_bit_for_bit(prec, t_len, batch, hidden
     assert runs[0] == runs[1]
 
 
+# ---------------------------------------------------------------------------
+# graph_attention: one tape node, against the tape composition it replaced
+
+
+def _padded_mask(counts):
+    """Scene-membership mask of a padded batch, as GranpModel._stack."""
+    n_max = max(counts)
+    real = np.arange(n_max) < np.array(counts)[:, None]
+    return (real[:, :, None] & real[:, None, :]) | np.eye(n_max, dtype=bool)
+
+
+def _penalty_softmax_rows(x, mask):
+    """Masking by an added -1e9 penalty, then an unmasked softmax."""
+    return ad.softmax_rows(x + ad.constant(np.where(mask, 0.0, -1e9)))
+
+
+def _composed_graph_attention(x, params, mask, softmax=ad.softmax_rows):
+    """The layer as one tape node per primitive, as GatLayer once ran it:
+    every query row, attention heads-inner [..., n, H, n]."""
+    ws, avs = params[0::2], params[1::2]
+    heads, (d_in, d_out) = len(ws), ws[0].shape
+    lead, n = tuple(x.shape[:-2]), x.shape[-2]
+    swap = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
+    a_fold = ad.concat([ad.matmul(w, a[:d_out]) for w, a in zip(ws, avs)]
+                       + [ad.matmul(w, a[d_out:]) for w, a in zip(ws, avs)], axis=1)
+    f = ad.matmul(x, a_fold)
+    f1 = f[..., :heads].reshape(lead + (n, heads, 1))
+    f2 = ad.transpose(f[..., heads:], swap).reshape(lead + (1, heads, n))
+    alpha = softmax(ad.leaky_relu(f1 + f2), mask[..., :, None, :])
+    w_mean = ad.concat(list(ws), axis=0) * ad.constant(1.0 / heads)
+    out = ad.matmul(ad.matmul(alpha.reshape(lead + (n * heads, n)), x)
+                    .reshape(lead + (n, heads * d_in)), w_mean)
+    return ad.relu(out), np.moveaxis(alpha.data, -2, 0)
+
+
+def _graph_attention_runs(composed, counts, heads, seed):
+    """(out, attention, gradients) of the node and of ``composed`` on one
+    padded batch, with T 3, D 5 and head width 6."""
+    rng = np.random.default_rng(seed)
+    mask = _padded_mask(counts)
+    x = ad.Parameter("x", rng.normal(size=(3,) + mask.shape[:2] + (5,)))
+    params = [ad.Parameter(f"{kind}{k}", rng.normal(size=shape))
+              for k in range(heads) for kind, shape in (("W", (5, 6)), ("a", (12, 1)))]
+    up = ad.constant(rng.normal(size=(3,) + mask.shape[:2] + (6,)))
+    runs = []
+    for fn in (ad.graph_attention, composed):
+        with ad.Tape() as tape:
+            out, attn = fn(x.tensor, [p.tensor for p in params], mask)
+            root = ad.reduce_sum(ad.mul(out, up))
+        runs.append((out.data, attn, ad.backward(tape, root, [x] + params)))
+    return runs
+
+
+@pytest.mark.parametrize("counts", [[1], [4], [7], [1, 4, 7]])
+@pytest.mark.parametrize("heads", [1, 3])
+def test_graph_attention_matches_tape_composition(f64, counts, heads):
+    (out, attn, grads), (ref_out, ref_attn, ref_grads) = _graph_attention_runs(
+        _composed_graph_attention, counts, heads, seed=10 * len(counts) + heads)
+    assert out.tobytes() == ref_out.tobytes()
+    assert attn.shape == ref_attn.shape
+    assert attn.tobytes() == ref_attn.tobytes()
+    for name, ref in ref_grads.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_graph_attention_mask_matches_penalty_bit_for_bit(precision):
+    # the node's mask sets a -inf score: a -1e9 penalty added before an
+    # unmasked softmax gives the same bits
+    def penalty(x, params, mask):
+        return _composed_graph_attention(x, params, mask, _penalty_softmax_rows)
+
+    with ad.precision(precision):
+        ours, ref = _graph_attention_runs(penalty, [1, 4, 7], 3, seed=47)
+    assert ours[0].tobytes() == ref[0].tobytes()
+    assert ours[1].tobytes() == ref[1].tobytes()
+    for name, g in ref[2].items():
+        np.testing.assert_array_equal(ours[2][name], g, err_msg=name)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,a_shape,mask_shape", [
+    ((4, 3), (3, 2), (4, 1), (5, 4)),       # more queries than nodes
+    ((4, 3), (3, 2), (4, 1), (4, 3)),       # mask keys differ from nodes
+    ((2, 4, 3), (3, 2), (4, 1), (2, 4, 4)),  # a mask per leading index of T
+    ((4, 3), (2, 2), (4, 1), (4, 4)),       # W rows differ from x features
+    ((4, 3), (3, 2), (2, 1), (4, 4)),       # a is not [2d, 1]
+    ((3,), (3, 2), (4, 1), (1, 1)),         # x not at least 2-D
+])
+def test_graph_attention_shape_errors(x_shape, w_shape, a_shape, mask_shape):
+    params = [ad.Tensor(np.zeros(w_shape)), ad.Tensor(np.zeros(a_shape))]
+    with pytest.raises(ShapeError, match="^graph_attention: "):
+        ad.graph_attention(ad.Tensor(np.zeros(x_shape)), params, np.ones(mask_shape, bool))
+
+
+def test_graph_attention_params_come_in_pairs():
+    x = ad.Tensor(np.zeros((4, 3)))
+    w, a = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((4, 1)))
+    for params in ([], [w], [w, a, w]):
+        with pytest.raises(ShapeError, match="^graph_attention: params"):
+            ad.graph_attention(x, params, np.ones((4, 4), bool))
+
+
 def test_lstm_without_tape_keeps_no_per_step_arrays():
     rng = np.random.default_rng(7)
     xw = ad.Parameter("xw", rng.normal(size=(15, 32, 4 * 64)))

@@ -405,7 +405,7 @@ def test_eval_metrics_that_overflow_are_numeric_error(pipeline, tmp_path,
     assert run_cli(["eval", "--data", str(data), "--ckpt", str(ckpt),
                     "--samples", "2", "--report", str(report)]) == 4
     assert _one_error_line(capsys.readouterr().err,
-                           "error: eval: overflow encountered in ")
+                           "error: evaluate: overflow encountered in ")
     assert not report.exists()
 
 

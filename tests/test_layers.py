@@ -314,32 +314,6 @@ def test_gat_matches_per_head_reference_on_padded_batch(f64, heads):
     np.testing.assert_allclose(attn, ref_attn, rtol=0, atol=1e-12)
 
 
-_softmax_rows = ad.softmax_rows
-
-
-def _penalty_softmax_rows(x, mask):
-    """Masking by an added -1e9 penalty, then an unmasked softmax."""
-    return _softmax_rows(x + ad.constant(np.where(mask, 0.0, -1e9)))
-
-
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_gat_mask_in_softmax_matches_penalty_bit_for_bit(precision, monkeypatch):
-    mask = _padded_mask([1, 4, 7])
-    runs = []
-    with ad.precision(precision):
-        for softmax in (_softmax_rows, _penalty_softmax_rows):
-            monkeypatch.setattr(ad, "softmax_rows", softmax)
-            gat = layers.GatLayer("g", 5, 6, 3, _rng(47))
-            x = ad.Parameter("x", _rng(48).normal(size=(3,) + mask.shape[:2] + (5,)))
-            with ad.Tape() as tape:
-                out, attn = gat.forward_seq(x.tensor, mask)
-                loss = (out * _rng(49).normal(size=out.shape)).sum()
-            grads = ad.backward(tape, loss, gat.parameters() + [x])
-            runs.append([out.data, attn] + list(grads.values()))
-    for ours, penalty in zip(*runs):
-        np.testing.assert_array_equal(ours, penalty)
-
-
 def test_gat_grad_check_padded_batch(f64):
     gat = layers.GatLayer("g", 3, 4, 2, _rng(42))
     mask = _padded_mask([2, 1, 3])
@@ -347,6 +321,25 @@ def test_gat_grad_check_padded_batch(f64):
     errs = ad.grad_check(lambda: gat.forward_seq(x, mask)[0].sum(),
                          gat.parameters())
     assert max(errs.values()) < 1e-4
+
+
+def test_gat_ego_row_is_row_zero_of_the_full_layer(f64):
+    # mask[:, :1] queries the first node only; every node stays a key
+    gat = layers.GatLayer("g", 5, 6, 3, _rng(50))
+    mask = _padded_mask([1, 4, 7])
+    x = ad.Parameter("x", _rng(51).normal(size=(3,) + mask.shape[:2] + (5,)))
+    up = _rng(52).normal(size=(3, 3, 1, 6))
+    runs = []
+    for rows in (mask, mask[:, :1]):
+        with ad.Tape() as tape:
+            out, attn = gat.forward_seq(x.tensor, rows)
+            root = (out[:, :, :1] * up).sum()
+        runs.append([out.data[:, :, :1], attn[..., :1, :]]
+                    + list(ad.backward(tape, root, gat.parameters() + [x]).values()))
+    assert runs[1][0].shape == (3, 3, 1, 6)
+    assert runs[1][1].shape == (3, 3, 3, 1, 7)
+    for full, ego in zip(*runs):
+        assert np.abs(ego - full).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_gat_parameter_names_and_shapes_are_pinned():
@@ -359,17 +352,16 @@ def test_gat_parameter_names_and_shapes_are_pinned():
 
 
 def test_gat_node_sized_tape_work_does_not_grow_with_heads():
-    # every head runs in the same node-sized primitives; a per-head loop
-    # would record more nodes whose output leads with the T axis
-    t_len, counts = 7, []
+    # the layer is one tape node whatever the heads, with every query row
+    # or the first only
+    mask = _padded_mask([5, 3])
     for heads in (1, 2, 4):
         gat = layers.GatLayer("g", 3, 4, heads, _rng(45))
-        x = ad.Tensor(_rng(46).normal(size=(t_len, 2, 5, 3)))
-        with ad.Tape() as tape:
-            gat.forward_seq(x, _padded_mask([5, 3]))
-        counts.append(sum(node.out.shape[0] == t_len for node in tape.nodes))
-    assert counts[0] > 0
-    assert counts == [counts[0]] * 3
+        x = ad.Tensor(_rng(46).normal(size=(7, 2, 5, 3)))
+        for rows in (mask, mask[:, :1]):
+            with ad.Tape() as tape:
+                gat.forward_seq(x, rows)
+            assert len(tape) == 1
 
 
 # ---------------------------------------------------------------------------

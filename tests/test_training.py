@@ -281,6 +281,19 @@ def test_evaluate_is_scene_order_invariant(f64):
         evaluate(model, [], stats, reference)
 
 
+def test_evaluate_metrics_that_overflow_are_numeric_error():
+    # a finite, positive sd of 1e180 m gives finite predictions, whose
+    # squared errors overflow
+    scenes = synth_scenes(8, seed=4, mix=0.5)
+    fitted = NormalizationStats.fit(scenes[:5])
+    std = fitted.std.copy()
+    std[0] = 1e180
+    stats = NormalizationStats(mean=fitted.mean, std=std)
+    model = GranpModel(_tiny_config(), seed=0)
+    with pytest.raises(NumericError, match=r"^evaluate: overflow encountered in "):
+        evaluate(model, scenes[5:], stats, scenes[:5], samples=2, seed=0)
+
+
 # -- baselines -------------------------------------------------------------------
 
 def test_cv_baseline_exact_on_constant_velocity():
