@@ -528,34 +528,30 @@ def _over_rows(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def graph_attention(x: Tensor, params: Sequence[Tensor], mask):
+def graph_attention(x: Tensor, w: Tensor, a: Tensor, mask):
     """One multi-head graph-attention layer as one tape node: (out
     [..., q, d] Tensor, attention [H, ..., q, n] array).
 
-    x: [..., n, D], the nodes; params: W_0, a_0, W_1, a_1, ..., W_k [D, d]
-    and a_k [2d, 1]; mask: boolean [*x.shape[1:-2], q, n], one graph per
-    leading index of x but the first, which every step shares.  The first
-    q nodes are the queries, row i of the mask holds query i's edges, and
-    every node is a key.  Head k scores query i against key j as
-    LeakyReLU(x_i W_k a1_k + x_j W_k a2_k), softmaxes over i's edges, and
-    the output is ReLU(sum_k alpha_k x W_k / H).
+    x: [..., n, D], the nodes; w: [H, D, d], head k's projection W_k; a:
+    [H, 2d], head k's score vector, a1_k then a2_k; mask: boolean
+    [*x.shape[1:-2], q, n], one graph per leading index of x but the first,
+    which every step shares.  The first q nodes are the queries, row i of
+    the mask holds query i's edges, and every node is a key.  Head k scores
+    query i against key j as LeakyReLU(x_i W_k a1_k + x_j W_k a2_k),
+    softmaxes over i's edges, and the output is
+    ReLU(sum_k alpha_k x W_k / H).
 
     a is folded through W, so every head's scores come from one x @ [D, 2H]
-    GEMM, and the head mean is one GEMM of alpha @ x against the W_k
-    stacked along rows.  Attention is held key-major, [..., n, q, H]: the
-    softmax's max and sum reduce over an outer axis, and alpha @ x and its
-    x gradient are batched GEMMs over a contiguous [n, q·H] alpha.  The
-    backward sums each gradient in the order the tape of the composed
-    primitives did.
+    GEMM, and the head mean is one GEMM of alpha @ x against w viewed as
+    [H·D, d].  Attention is held key-major, [..., n, q, H]: the softmax's
+    max and sum reduce over an outer axis, and alpha @ x and its x gradient
+    are batched GEMMs over a contiguous [n, q·H] alpha.  The backward sums
+    each gradient in the order the tape of the composed primitives did.
     """
-    if not params or len(params) % 2 or params[0].ndim != 2:
-        raise ShapeError("graph_attention: params must be W_0, a_0, W_1, a_1, ...")
-    ws, avs = params[0::2], params[1::2]
-    heads = len(ws)
-    d_in, d_out = ws[0].shape
-    if any(w.shape != (d_in, d_out) or a.shape != (2 * d_out, 1) for w, a in zip(ws, avs)):
-        raise ShapeError(f"graph_attention: each W must be {(d_in, d_out)} "
-                         f"and each a {(2 * d_out, 1)}")
+    if w.ndim != 3 or a.shape != (w.shape[0], 2 * w.shape[2]):
+        raise ShapeError(f"graph_attention: w must be [H, D, d] and a [H, 2d], "
+                         f"got {w.shape} and {a.shape}")
+    heads, d_in, d_out = w.shape
     edges = np.asarray(mask, dtype=bool)
     lead, n = x.shape[:-2], x.shape[-2] if x.ndim >= 2 else 0
     q = edges.shape[-2] if edges.ndim >= 2 else 0
@@ -565,12 +561,13 @@ def graph_attention(x: Tensor, params: Sequence[Tensor], mask):
     isolated = np.argwhere(~edges.any(axis=-1))
     if len(isolated):
         raise DataError(f"graph_attention: mask row {isolated[0].tolist()} has no edge")
-    xd = x.data
+    xd, wd, av = x.data, w.data, a.data
     dt = xd.dtype
     rows = xd.reshape(-1, d_in)
-    # column k is W_k a1_k, column H + k is W_k a2_k
-    fold = np.concatenate([w.data @ a.data[:d_out] for w, a in zip(ws, avs)]
-                          + [w.data @ a.data[d_out:] for w, a in zip(ws, avs)], axis=1)
+    a1, a2 = av[:, :d_out, None], av[:, d_out:, None]      # [H, d, 1]
+    # column k is W_k a1_k, column H + k is W_k a2_k; C order, as an f32
+    # GEMM against a transposed fold rounds differently
+    fold = np.ascontiguousarray(np.concatenate([wd @ a1, wd @ a2])[..., 0].T)
     f = (rows @ fold).reshape(lead + (n, 2 * heads))
     # the scores e, key j by (query i, head k): each key's scores tiled
     # once per query, plus the queries' scores, as contiguous rows
@@ -593,7 +590,7 @@ def graph_attention(x: Tensor, params: Sequence[Tensor], mask):
         return (np.swapaxes(alpha, -1, -2) @ xd).reshape(-1, heads * d_in)
 
     scale = dt.type(1.0 / heads)
-    w_mean = np.concatenate([w.data for w in ws], axis=0) * scale
+    w_mean = wd.reshape(heads * d_in, d_out) * scale
     pre = (aggregate() @ w_mean).reshape(lead + (q, d_out))
     out = Tensor(np.maximum(pre, 0.0, out=pre))
 
@@ -620,17 +617,15 @@ def graph_attention(x: Tensor, params: Sequence[Tensor], mask):
         g_f[..., heads:] = _over_rows(np.add, g_e.reshape(lead + (n, q, heads)))[..., 0, :]
         g_f = g_f.reshape(-1, 2 * heads)
         g_x += (g_f @ fold.T).reshape(xd.shape)
-        g_fold = rows.T @ g_f
-        grads = [g_x]
-        for k, (w, a) in enumerate(zip(ws, avs)):
-            g1, g2 = g_fold[:, k:k + 1], g_fold[:, heads + k:heads + k + 1]
-            grads.append(g_w_mean[k * d_in:(k + 1) * d_in]
-                         + g2 @ a.data[d_out:].T + g1 @ a.data[:d_out].T)
-            grads.append(np.concatenate([w.data.T @ g1, w.data.T @ g2]))
-        return grads
+        g_fold = (rows.T @ g_f).T[:, :, None]          # [2H, D, 1]
+        g1, g2 = g_fold[:heads], g_fold[heads:]
+        g_w = (g_w_mean.reshape(heads, d_in, d_out)
+               + g2 * av[:, None, d_out:] + g1 * av[:, None, :d_out])
+        g_a = np.concatenate([np.swapaxes(wd, -1, -2) @ g for g in (g1, g2)], axis=1)
+        return g_x, g_w, g_a[..., 0]
 
     attention = np.moveaxis(alpha.reshape(lead + (n, q, heads)), (-1, -3), (0, -1))
-    return _record(out, (x,) + tuple(params), bwd), attention
+    return _record(out, (x, w, a), bwd), attention
 
 
 # ---------------------------------------------------------------------------

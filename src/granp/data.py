@@ -369,8 +369,12 @@ def scenes_from_doc(doc, where: str = "scene archive"):
             for name, arr in named:
                 if not np.isfinite(arr).all():
                     raise FormatError(f"{where}: scene {i} {name} is not finite")
+            ego = entry["ego"]
+            if isinstance(ego, bool) or not isinstance(ego, int):
+                raise FormatError(f"{where}: malformed scene archive (scene "
+                                  f"{i} ego {ego!r} is not an integer)")
             scenes.append(TrajectoryScene(
-                ego=int(entry["ego"]), history=history, future=future))
+                ego=ego, history=history, future=future))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{where}: malformed scene archive ({e})") from None
     return scenes

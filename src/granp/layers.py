@@ -128,13 +128,12 @@ class GatLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.heads = heads
-        self.w = [Parameter(f"{name}.W.h{k}", _uniform(rng, in_dim, (in_dim, out_dim)))
-                  for k in range(heads)]
-        self.a = [Parameter(f"{name}.a.h{k}", _uniform(rng, 2 * out_dim, (2 * out_dim, 1)))
-                  for k in range(heads)]
+        # head k's W_k is w[k] and its score vector a[k]
+        self.w = Parameter(f"{name}.W", _uniform(rng, in_dim, (heads, in_dim, out_dim)))
+        self.a = Parameter(f"{name}.a", _uniform(rng, 2 * out_dim, (heads, 2 * out_dim)))
 
     def parameters(self):
-        return [p for pair in zip(self.w, self.a) for p in pair]
+        return [self.w, self.a]
 
     def forward_seq(self, nodes_seq: Tensor, mask):
         """nodes [..., n, in_dim] -> (out [..., q, out_dim], attention
@@ -152,7 +151,7 @@ class GatLayer:
         The layer is one tape node, ``ad.graph_attention``, which checks
         the shapes and the edges.
         """
-        return ad.graph_attention(nodes_seq, [p.tensor for p in self.parameters()],
+        return ad.graph_attention(nodes_seq, self.w.tensor, self.a.tensor,
                                   np.asarray(mask) > 0)
 
     forward = forward_seq   # the name single-graph callers use

@@ -16,17 +16,13 @@ from .autodiff import Tape, backward
 from .data import (NormalizationStats, TARGET_HZ, T_F, dump_json,
                    make_episode, read_json, scenes_from_doc, scenes_to_doc,
                    seeded_rng, write_atomic, write_json)
-from .errors import DataError, FormatError, NumericError
-from .model import (CONV_KERNEL, GAT_LAYERS, GranpModel, ModelConfig,
-                    PredictiveDistribution, gaussian_nll,
-                    prepare_scene)
+from .errors import DataError, FormatError
+from .model import (GranpModel, ModelConfig, PredictiveDistribution,
+                    gaussian_nll, prepare_scene)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # params.bin element type per manifest "precision"
 _PARAM_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-# config keys that manifests written before the architecture was fixed
-# carry, with the only values they could hold
-_FIXED_CONFIG = {"gat_layers": GAT_LAYERS, "kernel": CONV_KERNEL}
 HORIZONS_S = (1, 2, 3, 4, 5)
 SAMPLE_DT = 1.0 / TARGET_HZ
 ADAM_BETA1 = 0.9        # canonical Adam moment decays and denominator guard
@@ -159,9 +155,6 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
             best_val = v
             best_epoch = epoch
             best_params = [p.data.copy() for p in model.parameters()]
-    if best_params is None:
-        raise NumericError(f"validation NLL was not finite in any of "
-                           f"{len(history)} epochs")
     for p, data in zip(model.parameters(), best_params):
         p.data = data
     return TrainResult(model=model, stats=stats, reference=ref_raw,
@@ -323,12 +316,7 @@ def load_checkpoint(dir_path):
                               f"precision in an f32 process; load it under "
                               f"f64 (GRANP_PRECISION=f64)")
         dt = _PARAM_DTYPES[precision]
-        config_doc = {**manifest["config"]}
-        for key, fixed in _FIXED_CONFIG.items():
-            if key in config_doc and config_doc.pop(key) != fixed:
-                raise FormatError(f"{manifest_path}: config {key} must be "
-                                  f"{fixed}")
-        config = ModelConfig(**config_doc)
+        config = ModelConfig(**manifest["config"])
         model = GranpModel(config, seed=0)
         params = model.parameters()
         entries = manifest["parameters"]
@@ -362,9 +350,7 @@ def load_checkpoint(dir_path):
         if offset != len(blob):
             raise FormatError(
                 f"params.bin has {len(blob) - offset} trailing bytes")
-        # absent in checkpoints written before the digest was recorded
-        digest = manifest.get("params_sha256")
-        if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
             raise FormatError(f"{params_path}: SHA-256 does not match the "
                               f"manifest's params_sha256; params.bin is "
                               f"from another save")

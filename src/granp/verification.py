@@ -41,8 +41,11 @@ def _primitive_cases(rng: np.random.Generator) -> dict:
     # softmax saturates.
     gat_rng = rng.spawn(1)[0]
     gx = ad.Parameter("gx", gat_rng.normal(size=(2, 2, 4, 3)))
-    gat_params = [ad.Parameter(f"{kind}{k}", gat_rng.normal(size=shape) * 0.5)
-                  for k in range(2) for kind, shape in (("gW", (3, 3)), ("ga", (6, 1)))]
+    # drawn head by head, W_k then a_k, and stacked: the draws of the
+    # per-head parameters this case once had
+    draws = [gat_rng.normal(size=shape) * 0.5 for _ in range(2) for shape in ((3, 3), (6,))]
+    gw = ad.Parameter("gw", np.stack(draws[0::2]))
+    ga = ad.Parameter("ga", np.stack(draws[1::2]))
     gat_mask = np.eye(4, dtype=bool)[None].repeat(2, axis=0)
     gat_mask[0] = True
     gat_off = ad.constant(gat_rng.normal(size=(2, 2, 2, 3)))
@@ -71,9 +74,9 @@ def _primitive_cases(rng: np.random.Generator) -> dict:
         "softmax_rows": lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(t), off)),
         "lstm": lambda: ad.reduce_sum(ad.lstm(lx.tensor, lh.tensor)),
         "graph_attention": lambda: ad.reduce_sum(ad.mul(ad.graph_attention(
-            gx.tensor, [p.tensor for p in gat_params], gat_mask[:, :2])[0], gat_off)),
+            gx.tensor, gw.tensor, ga.tensor, gat_mask[:, :2])[0], gat_off)),
     }
-    params = {"conv1d": [kw], "lstm": [lx, lh], "graph_attention": [gx] + gat_params}
+    params = {"conv1d": [kw], "lstm": [lx, lh], "graph_attention": [gx, gw, ga]}
     return {name: (fn, params.get(name, [w]))
             for name, fn in objectives.items()}
 

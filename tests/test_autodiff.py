@@ -300,11 +300,13 @@ def _penalty_softmax_rows(x, mask):
     return ad.softmax_rows(x + ad.constant(np.where(mask, 0.0, -1e9)))
 
 
-def _composed_graph_attention(x, params, mask, softmax=ad.softmax_rows):
+def _composed_graph_attention(x, w, a, mask, softmax=ad.softmax_rows):
     """The layer as one tape node per primitive, as GatLayer once ran it:
-    every query row, attention heads-inner [..., n, H, n]."""
-    ws, avs = params[0::2], params[1::2]
-    heads, (d_in, d_out) = len(ws), ws[0].shape
+    each head's W_k and a_k sliced from the stacked w and a, every query
+    row, attention heads-inner [..., n, H, n]."""
+    heads, d_in, d_out = w.shape
+    ws = [w[k] for k in range(heads)]
+    avs = [a[k].reshape((2 * d_out, 1)) for k in range(heads)]
     lead, n = tuple(x.shape[:-2]), x.shape[-2]
     swap = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     a_fold = ad.concat([ad.matmul(w, a[:d_out]) for w, a in zip(ws, avs)]
@@ -325,15 +327,17 @@ def _graph_attention_runs(composed, counts, heads, seed):
     rng = np.random.default_rng(seed)
     mask = _padded_mask(counts)
     x = ad.Parameter("x", rng.normal(size=(3,) + mask.shape[:2] + (5,)))
-    params = [ad.Parameter(f"{kind}{k}", rng.normal(size=shape))
-              for k in range(heads) for kind, shape in (("W", (5, 6)), ("a", (12, 1)))]
+    # drawn head by head, W_k then a_k, and stacked
+    draws = [rng.normal(size=shape) for _ in range(heads) for shape in ((5, 6), (12,))]
+    w = ad.Parameter("w", np.stack(draws[0::2]))
+    a = ad.Parameter("a", np.stack(draws[1::2]))
     up = ad.constant(rng.normal(size=(3,) + mask.shape[:2] + (6,)))
     runs = []
     for fn in (ad.graph_attention, composed):
         with ad.Tape() as tape:
-            out, attn = fn(x.tensor, [p.tensor for p in params], mask)
+            out, attn = fn(x.tensor, w.tensor, a.tensor, mask)
             root = ad.reduce_sum(ad.mul(out, up))
-        runs.append((out.data, attn, ad.backward(tape, root, [x] + params)))
+        runs.append((out.data, attn, ad.backward(tape, root, [x, w, a])))
     return runs
 
 
@@ -353,8 +357,8 @@ def test_graph_attention_matches_tape_composition(f64, counts, heads):
 def test_graph_attention_mask_matches_penalty_bit_for_bit(precision):
     # the node's mask sets a -inf score: a -1e9 penalty added before an
     # unmasked softmax gives the same bits
-    def penalty(x, params, mask):
-        return _composed_graph_attention(x, params, mask, _penalty_softmax_rows)
+    def penalty(x, w, a, mask):
+        return _composed_graph_attention(x, w, a, mask, _penalty_softmax_rows)
 
     with ad.precision(precision):
         ours, ref = _graph_attention_runs(penalty, [1, 4, 7], 3, seed=47)
@@ -365,25 +369,20 @@ def test_graph_attention_mask_matches_penalty_bit_for_bit(precision):
 
 
 @pytest.mark.parametrize("x_shape,w_shape,a_shape,mask_shape", [
-    ((4, 3), (3, 2), (4, 1), (5, 4)),       # more queries than nodes
-    ((4, 3), (3, 2), (4, 1), (4, 3)),       # mask keys differ from nodes
-    ((2, 4, 3), (3, 2), (4, 1), (2, 4, 4)),  # a mask per leading index of T
-    ((4, 3), (2, 2), (4, 1), (4, 4)),       # W rows differ from x features
-    ((4, 3), (3, 2), (2, 1), (4, 4)),       # a is not [2d, 1]
-    ((3,), (3, 2), (4, 1), (1, 1)),         # x not at least 2-D
+    ((4, 3), (2, 3, 2), (2, 4), (5, 4)),        # more queries than nodes
+    ((4, 3), (2, 3, 2), (2, 4), (4, 3)),        # mask keys differ from nodes
+    ((2, 4, 3), (2, 3, 2), (2, 4), (2, 4, 4)),  # a mask per leading index of T
+    ((4, 3), (2, 2, 2), (2, 4), (4, 4)),        # W rows differ from x features
+    ((4, 3), (3, 2), (2, 4), (4, 4)),           # w is not [H, D, d]
+    ((4, 3), (2, 3, 2), (2, 2), (4, 4)),        # a is not [H, 2d]
+    ((4, 3), (2, 3, 2), (3, 4), (4, 4)),        # a's heads differ from w's
+    ((4, 3), (2, 3, 2), (4, 1), (4, 4)),        # a is one head's [2d, 1]
+    ((3,), (2, 3, 2), (2, 4), (1, 1)),          # x not at least 2-D
 ])
 def test_graph_attention_shape_errors(x_shape, w_shape, a_shape, mask_shape):
-    params = [ad.Tensor(np.zeros(w_shape)), ad.Tensor(np.zeros(a_shape))]
+    w, a = ad.Tensor(np.zeros(w_shape)), ad.Tensor(np.zeros(a_shape))
     with pytest.raises(ShapeError, match="^graph_attention: "):
-        ad.graph_attention(ad.Tensor(np.zeros(x_shape)), params, np.ones(mask_shape, bool))
-
-
-def test_graph_attention_params_come_in_pairs():
-    x = ad.Tensor(np.zeros((4, 3)))
-    w, a = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((4, 1)))
-    for params in ([], [w], [w, a, w]):
-        with pytest.raises(ShapeError, match="^graph_attention: params"):
-            ad.graph_attention(x, params, np.ones((4, 4), bool))
+        ad.graph_attention(ad.Tensor(np.zeros(x_shape)), w, a, np.ones(mask_shape, bool))
 
 
 def test_lstm_without_tape_keeps_no_per_step_arrays():

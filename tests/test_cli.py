@@ -341,6 +341,28 @@ def test_eval_future_too_large_for_f32_is_data_error(pipeline, tmp_path,
     assert "overflow f32" in capsys.readouterr().err
 
 
+def test_predict_version_1_checkpoint_is_data_error(pipeline, tmp_path,
+                                                    capsys):
+    # version 1 stored one W and one score vector per GAT head
+    def edit(doc):
+        doc["version"] = 1
+    data, ckpt = _edited_copy(pipeline, tmp_path, edit_manifest=edit)
+    assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
+    err = capsys.readouterr().err
+    assert _one_error_line(err, "error: ") and "version 1, expected 2" in err
+
+
+@pytest.mark.parametrize("edit", ["edit_manifest", "edit_archive"])
+def test_predict_non_integer_ego_is_data_error(pipeline, tmp_path, capsys,
+                                                edit):
+    # the manifest's reference context is read as an archive is
+    def set_ego(doc):
+        doc.get("reference_context", doc)["scenes"][0]["ego"] = 0.9
+    data, ckpt = _edited_copy(pipeline, tmp_path, **{edit: set_ego})
+    assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
+    assert "scene 0 ego 0.9 is not an integer" in capsys.readouterr().err
+
+
 # A finite parameter near the f32 limit passes every load check, then
 # overflows in the forward pass: the command must exit 4 and write nothing,
 # not print NaN, which is not JSON.
@@ -426,7 +448,7 @@ def test_predict_band_that_overflows_is_numeric_error(pipeline, tmp_path,
 def test_attention_overflowing_score_is_numeric_error(pipeline, tmp_path,
                                                       capsys):
     data, _ = pipeline
-    ckpt = _tampered_copy(pipeline, tmp_path, {"gat1.a.h0", "gat1.a.h1"})
+    ckpt = _tampered_copy(pipeline, tmp_path, {"gat1.a"})
     out = tmp_path / "att.json"
     assert run_cli(["attention", "--data", str(data), "--ckpt", str(ckpt),
                     "--scene", "2", "--out", str(out)]) == 4

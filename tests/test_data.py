@@ -3,6 +3,7 @@ round-trips, episode splits, synthetic kinematics, archives."""
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,18 @@ def test_archive_rejects_infinite_ego_id(tmp_path):
     p.write_text('{"rate_hz":5,"scenes":[{"ego":Infinity,"history":{},'
                  '"future":[]}]}')
     with pytest.raises(FormatError, match="malformed"):
+        data.load_scenes(p)
+
+
+@pytest.mark.parametrize("ego", [0.9, True, "0"])
+def test_archive_rejects_an_ego_that_is_not_an_integer(tmp_path, ego):
+    # int() read 0.9 and "0" as vehicle 0, and true as vehicle 1
+    doc = data.scenes_to_doc(_toy_scenes(5, count=2))
+    doc["scenes"][1]["ego"] = ego
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape(
+            f"scene 1 ego {ego!r} is not an integer")):
         data.load_scenes(p)
 
 

@@ -196,7 +196,7 @@ def test_gat_single_node_self_loop():
     out, attn = gat.forward(ad.Tensor(node), np.ones((1, 1)))
     np.testing.assert_allclose(attn, np.ones((2, 1, 1)), atol=1e-7)
     expected = np.maximum(
-        np.mean([node.astype(np.float32) @ w.data for w in gat.w], axis=0), 0.0)
+        np.mean([node.astype(np.float32) @ w for w in gat.w.data], axis=0), 0.0)
     np.testing.assert_allclose(out.data, expected, rtol=1e-5)
 
 
@@ -289,9 +289,9 @@ def _gat_reference(gat, x, mask):
     """Plain numpy GAT, one head at a time: (out, attention [heads, ...])."""
     d = gat.out_dim
     outs, attn = [], []
-    for w, a in zip(gat.w, gat.a):
-        wh = x @ w.data
-        e = wh @ a.data[:d] + np.swapaxes(wh @ a.data[d:], -1, -2)
+    for w, a in zip(gat.w.data, gat.a.data):
+        wh = x @ w
+        e = wh @ a[:d, None] + np.swapaxes(wh @ a[d:, None], -1, -2)
         e = np.where(e > 0, e, ad.LEAKY_SLOPE * e)
         e = np.where(mask, e, -np.inf)
         e = np.exp(e - e.max(axis=-1, keepdims=True))
@@ -343,12 +343,11 @@ def test_gat_ego_row_is_row_zero_of_the_full_layer(f64):
 
 
 def test_gat_parameter_names_and_shapes_are_pinned():
-    # checkpoints store one W and one score vector per head under these names
+    # checkpoints store every head's W and score vector stacked, under
+    # these names
     gat = layers.GatLayer("gat0", 5, 6, 3, _rng(44))
     assert [(p.name, p.data.shape) for p in gat.parameters()] == [
-        ("gat0.W.h0", (5, 6)), ("gat0.a.h0", (12, 1)),
-        ("gat0.W.h1", (5, 6)), ("gat0.a.h1", (12, 1)),
-        ("gat0.W.h2", (5, 6)), ("gat0.a.h2", (12, 1))]
+        ("gat0.W", (3, 5, 6)), ("gat0.a", (3, 12))]
 
 
 def test_gat_node_sized_tape_work_does_not_grow_with_heads():

@@ -334,10 +334,10 @@ def test_elbo_full_model_gradcheck(f64):
 # h = 1e-3 central differences resolve it. (seed, parameter, flat index,
 # analytic gradient)
 SUB_NOISE_ENTRIES = [
-    (5, "lat.conv0.W", 218, 3.327341e-07),
-    (6, "lat.conv2.W", 91, -4.009612e-07),
-    (7, "lat.conv0.W", 148, -1.314182e-07),
-    (8, "lstm.Wx", 28, -5.043225e-07),
+    (5, "lat.conv2.W", 152, 6.558134e-07),
+    (6, "lat.conv0.W", 186, -1.232465e-07),
+    (7, "lat.conv0.W", 100, -4.455230e-07),
+    (8, "gat1.W", 35, 9.006775e-07),
 ]
 
 
@@ -370,6 +370,12 @@ def test_elbo_sub_noise_gradients_match_wider_step(seed, name, index, value, f64
     flat[index] = orig
     fd = (f_plus - f_minus) / (2.0 * h)
     assert abs(analytic - fd) < 1e-4 * abs(fd)
+
+
+def test_default_model_parameter_count_is_pinned():
+    # each GAT layer stores its heads stacked, as one W and one a; the
+    # checkpoint's parameter table has one entry per array
+    assert len(GranpModel(ModelConfig(), seed=0).parameters()) == 53
 
 
 def test_default_training_step_tape_budget():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from granp import autodiff as ad
-from granp import training
 from granp.data import NormalizationStats, T_F, T_N, TrajectoryScene, synth_scenes
 from granp.errors import DataError, FormatError, NumericError
 from granp.model import GranpModel, ModelConfig, PredictiveDistribution, prepare_scene
@@ -133,16 +132,6 @@ def test_train_aborts_in_validation_when_one_batch_makes_an_epoch():
     with pytest.raises(NumericError,
                        match=r"^epoch 1, validation: overflow encountered in "):
         train(scenes, _tiny_config(), settings, seed=5)
-
-
-def test_train_raises_numeric_error_when_validation_never_finite(monkeypatch):
-    # a NaN in the data fails at prepare_scene (below), so the non-finite
-    # NLL is injected here
-    monkeypatch.setattr(training, "validation_nll", lambda *_: float("nan"))
-    scenes = synth_scenes(10, seed=0, mix=0.5)
-    settings = TrainSettings(epochs=2, batch_size=8, reference_size=4)
-    with pytest.raises(NumericError, match="validation NLL was not finite in any of 2"):
-        train(scenes, _tiny_config(), settings, seed=1)
 
 
 def test_train_rejects_nan_in_a_validation_future():
@@ -405,30 +394,19 @@ def test_checkpoint_ignores_legacy_reference_context_ids(tmp_path):
     assert len(lref) == len(reference)
 
 
-def test_checkpoint_loads_legacy_fixed_architecture_keys(tmp_path):
-    model, stats, reference = _roundtrip_setup()
-    save_checkpoint(tmp_path, model, stats, reference)
-    path = os.path.join(tmp_path, "manifest.json")
-    manifest = json.load(open(path))
-    assert "gat_layers" not in manifest["config"]
-    assert "kernel" not in manifest["config"]
-    manifest["config"].update(gat_layers=2, kernel=3)
-    json.dump(manifest, open(path, "w"))
-    loaded, _, _ = load_checkpoint(tmp_path)
-    assert loaded.config == model.config
-    for p, q in zip(model.parameters(), loaded.parameters()):
-        np.testing.assert_array_equal(p.data, q.data)
-
-
-@pytest.mark.parametrize("key,value", [("gat_layers", 3), ("kernel", 5)])
+# version 1 manifests could carry these keys, with the values 2 and 3 the
+# architecture fixes; no config key names them now, whatever the value
+@pytest.mark.parametrize("key,value", [("gat_layers", 3), ("kernel", 5),
+                                       ("gat_layers", 2), ("kernel", 3)])
 def test_checkpoint_rejects_other_fixed_architecture(tmp_path, key, value):
     model, stats, reference = _roundtrip_setup()
     save_checkpoint(tmp_path, model, stats, reference)
     path = os.path.join(tmp_path, "manifest.json")
     manifest = json.load(open(path))
+    assert key not in manifest["config"]
     manifest["config"][key] = value
     json.dump(manifest, open(path, "w"))
-    with pytest.raises(FormatError, match=f"config {key} must be"):
+    with pytest.raises(FormatError, match="malformed checkpoint"):
         load_checkpoint(tmp_path)
 
 
@@ -573,16 +551,16 @@ def test_checkpoint_rejects_params_from_another_save(tmp_path):
         load_checkpoint(tmp_path / "a")
 
 
-def test_checkpoint_without_digest_still_loads(tmp_path):
+def test_checkpoint_without_digest_is_refused(tmp_path):
+    # without the digest, params.bin could be from another save
     model, stats, reference = _roundtrip_setup()
     save_checkpoint(tmp_path, model, stats, reference)
     path = os.path.join(tmp_path, "manifest.json")
     manifest = json.load(open(path))
     del manifest["params_sha256"]
     json.dump(manifest, open(path, "w"))
-    loaded, _, _ = load_checkpoint(tmp_path)
-    for p, q in zip(model.parameters(), loaded.parameters()):
-        np.testing.assert_array_equal(p.data, q.data)
+    with pytest.raises(FormatError, match="malformed checkpoint.*params_sha256"):
+        load_checkpoint(tmp_path)
 
 
 def test_checkpoint_save_interrupted_before_manifest_fails_closed(
