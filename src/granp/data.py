@@ -361,8 +361,14 @@ def scenes_from_doc(doc, where: str = "scene archive"):
             if not isinstance(entry["history"], dict):
                 raise FormatError(f"{where}: scene {i} history is not an "
                                   f"object")
-            history = {int(vid): np.array(h, dtype=np.float64)
-                       for vid, h in entry["history"].items()}
+            history = {}
+            for key, h in entry["history"].items():
+                # only the canonical form, or "01", "+1", " 1" and "1_0"
+                # would each alias an id
+                if str(int(key)) != key:
+                    raise FormatError(f"{where}: scene {i} history key "
+                                      f"{key!r} is not a canonical integer id")
+                history[int(key)] = np.array(h, dtype=np.float64)
             future = np.array(entry["future"], dtype=np.float64)
             named = [("future", future)] + [(f"history of vehicle {vid}", h)
                                             for vid, h in history.items()]
@@ -414,11 +420,21 @@ def write_json(path, doc):
     write_atomic(path, (dump_json(doc) + "\n").encode("utf-8"))
 
 
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(path, what: str):
-    """Parse a UTF-8 JSON file; a failure is a FormatError naming `what`."""
+    """Parse a UTF-8 JSON file; a failure, a key given twice in one object
+    included, is a FormatError naming `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as e:
         # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"{path}: unreadable {what} ({e})") from None

@@ -1,11 +1,13 @@
 """Graph-recurrent attentive neural process for trajectory prediction.
 
 Pair embedding runs per-timestep graph attention over the scene graph and an
-LSTM over the ego node's sequence.  Context futures are length-matched by an
-interpolation layer, fused with the history features by two Conv-MLP encoders
-(one per path), and consumed by a deterministic cross-attention path and a
-latent Gaussian path.  The decoder emits per-step Gaussian distributions over
-future positions; training maximizes the ELBO.
+LSTM over the ego node's sequence.  The linear state embedding is folded into
+the first attention layer's weight, so that layer reads 4 features and a
+constant 1 per node instead of a d-wide embedding.  Context futures are
+length-matched by an interpolation layer, fused with the history features by
+two Conv-MLP encoders (one per path), and consumed by a deterministic
+cross-attention path and a latent Gaussian path.  The decoder emits per-step
+Gaussian distributions over future positions; training maximizes the ELBO.
 """
 
 import math
@@ -82,7 +84,7 @@ class LatentDistribution:
 @dataclass
 class PredictiveDistribution:
     """Per-step Gaussian prediction in meters, with sampled trajectories and
-    the 95% band."""
+    the 95% band; a band that overflows raises NumericError naming it."""
 
     mean: np.ndarray        # [t_f, 2]
     std: np.ndarray         # [t_f, 2]
@@ -90,11 +92,13 @@ class PredictiveDistribution:
 
     @property
     def ci_low(self) -> np.ndarray:
-        return self.mean - 1.96 * self.std
+        with ad.numeric_errors("ci_low"):
+            return self.mean - 1.96 * self.std
 
     @property
     def ci_high(self) -> np.ndarray:
-        return self.mean + 1.96 * self.std
+        with ad.numeric_errors("ci_high"):
+            return self.mean + 1.96 * self.std
 
 
 def gaussian_nll(y, mu, sigma) -> np.ndarray:
@@ -196,12 +200,13 @@ class GranpModel:
     def _stack(self, scenes):
         """Padded per-scene batching, the ``to_dense_batch`` layout.
 
-        Scene i's nodes fill ``states[:, i, :n_i]`` of a [t_n, B, n_max, 4]
-        array, ego at node 0.  The boolean mask is [B, n_max, n_max]: scene
-        i's n_i real nodes form a full top-left block (the scene graph is
-        complete), and every padding node has only its self-loop so no
-        softmax row is empty.  Real nodes have no edge to a padding node,
-        so padding never reaches a real node's output.
+        Scene i's nodes fill ``states[:, i, :n_i]`` of a [t_n, B, n_max, 5]
+        array, ego at node 0; the states are homogeneous, the 4 features
+        then a constant 1 on every node.  The boolean mask is [B, n_max,
+        n_max]: scene i's n_i real nodes form a full top-left block (the
+        scene graph is complete), and every padding node has only its
+        self-loop so no softmax row is empty.  Real nodes have no edge to a
+        padding node, so padding never reaches a real node's output.
         """
         cfg = self.config
         # prepare_scene's rule, for hand-built scenes too: NaN fails it, as
@@ -219,9 +224,10 @@ class GranpModel:
                                 f"would overflow {ad.get_precision()}")
         counts = np.array([sc.states.shape[1] for sc in scenes])
         n_max = counts.max()
-        states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES))
+        states = np.zeros((cfg.t_n, len(scenes), n_max, STATE_FEATURES + 1))
+        states[..., STATE_FEATURES] = 1.0
         for i, sc in enumerate(scenes):
-            states[:, i, :counts[i]] = sc.states
+            states[:, i, :counts[i], :STATE_FEATURES] = sc.states
         # the states in one pass per chunk
         if not (np.abs(states) <= limit).all():
             bad = next(sc for sc in scenes if not (np.abs(sc.states) <= limit).all())
@@ -236,11 +242,25 @@ class GranpModel:
         each ego sequence.  Returns (H [B, d], ego_seq [t_n, B, d],
         attention), with one [heads, t_n, B, q, n_max] array per GAT layer:
         q is n_max but for the last layer, which computes only the ego's
-        query row (q = 1), the one row that the LSTM reads."""
+        query row (q = 1), the one row that the LSTM reads.
+
+        The embedding x = s W_e + b_e is affine and a GAT layer reads its
+        input only through x W_k, which is [s, 1] ([W_e; b_e] W_k) exactly.
+        So the first layer runs on the homogeneous states [s, 1] with that
+        composed [H, 5, d] weight, built on the tape from embed.0.W,
+        embed.0.b and gat0.W: its alpha @ x aggregate and projection GEMMs
+        are 5 columns wide per head instead of d.  embed.forward itself has
+        no caller here."""
         states, mask = self._stack(scenes)
-        h = self.embed.forward(ad.constant(states))
-        attention = []
-        for i, gat in enumerate(self.gat):
+        gat0 = self.gat[0]
+        w_e, b_e = self.embed.weights[0].tensor, self.embed.biases[0].tensor
+        e = ad.concat([w_e, b_e.reshape((1, b_e.shape[0]))])    # [5, d]
+        # one copy per head: matmul's batched path takes equal leading dims
+        w_0 = ad.matmul(e + ad.constant(np.zeros((gat0.heads,) + e.shape)),
+                        gat0.w.tensor)
+        h, att = ad.graph_attention(ad.constant(states), w_0, gat0.a.tensor, mask)
+        attention = [att]
+        for i, gat in enumerate(self.gat[1:], 1):
             h, att = gat.forward_seq(h, mask if i + 1 < len(self.gat) else mask[:, :1])
             attention.append(att)
         ego_seq = h[:, :, 0]

@@ -164,6 +164,23 @@ def test_train_unreadable_archive_is_data_error(tmp_path, capsys, content):
     assert err.startswith("error: ") and "unreadable scene archive" in err
 
 
+def test_train_non_canonical_history_key_is_data_error(tmp_path, capsys):
+    assert run_cli(["synth", "--scenes", "3", "--seed", "5", "--out",
+                    str(tmp_path)]) == 0
+    archive = tmp_path / "scenes.json"
+    doc = json.loads(archive.read_text())
+    history = doc["scenes"][0]["history"]
+    history["01"] = history["1"]
+    archive.write_text(json.dumps(doc))
+    code = run_cli(["train", "--data", str(archive), "--out",
+                    str(tmp_path / "c"), "--epochs", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: {archive}: scene 0 history key '01' is not a "
+                   f"canonical integer id\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_train_missing_data_is_data_error(tmp_path, capsys):
     code = run_cli(["train", "--data", str(tmp_path / "absent"),
                     "--out", str(tmp_path / "c")])
@@ -433,7 +450,8 @@ def test_eval_metrics_that_overflow_are_numeric_error(pipeline, tmp_path,
 
 def test_predict_band_that_overflows_is_numeric_error(pipeline, tmp_path,
                                                       capsys):
-    # the pooled mean is finite, near the f64 limit, and mean + 1.96 sd is not
+    # the pooled mean is finite, near the f64 limit, and mean + 1.96 sd is
+    # not; the band's own channel names it
     def edit(doc):
         doc["normalization"]["mean"][0] = 1.79e308
         doc["normalization"]["std"][0] = 1e306
@@ -441,7 +459,7 @@ def test_predict_band_that_overflows_is_numeric_error(pipeline, tmp_path,
     out = tmp_path / "p.json"
     assert _run_predict(data, ckpt, out) == 4
     assert _one_error_line(capsys.readouterr().err,
-                           "error: predict: overflow encountered in add")
+                           "error: ci_high: overflow encountered in add")
     assert not out.exists()
 
 

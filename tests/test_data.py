@@ -430,6 +430,45 @@ def test_archive_rejects_non_finite_values(tmp_path, field):
         data.load_scenes(p)
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1"])
+def test_archive_rejects_a_history_key_that_is_not_canonical(tmp_path, key):
+    # int() read each as an id: "01" silently replaced vehicle 1's history,
+    # "1_0" loaded as vehicle 10, " 1" and "+1" as vehicle 1
+    doc = data.scenes_to_doc(_toy_scenes(5, count=2))
+    history = doc["scenes"][1]["history"]
+    assert "1" in history
+    history[key] = history["1"][::-1]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape(
+            f"bad.json: scene 1 history key {key!r} is not a canonical "
+            f"integer id")):
+        data.load_scenes(p)
+
+
+def test_archive_rejects_a_history_key_given_twice(tmp_path):
+    # json keeps the last of two equal keys, so one vehicle's history was
+    # silently dropped
+    p = tmp_path / "bad.json"
+    p.write_text('{"rate_hz":5,"scenes":[{"ego":0,"future":[],"history":'
+                 '{"0":[[1,2,3,4]],"0":[[5,6,7,8]]}}]}')
+    with pytest.raises(FormatError, match=re.escape(
+            "bad.json: unreadable scene archive (duplicate key '0')")):
+        data.load_scenes(p)
+
+
+def test_archive_keeps_canonical_history_keys(tmp_path):
+    scenes = _toy_scenes(5, count=2)
+    doc = data.scenes_to_doc(scenes)
+    doc["scenes"][1]["history"]["-3"] = doc["scenes"][1]["history"]["1"]
+    p = tmp_path / "ok.json"
+    p.write_text(json.dumps(doc))
+    loaded = data.load_scenes(p)
+    assert sorted(loaded[1].history) == [-3, 0, 1, 2, 4]
+    np.testing.assert_array_equal(loaded[1].history[-3],
+                                  scenes[1].history[1])
+
+
 # ---------------------------------------------------------------------------
 # file boundary
 

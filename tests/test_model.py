@@ -6,7 +6,7 @@ from granp import model as granp_model
 from granp.autodiff import Tape, backward, grad_check
 from granp.data import (NormalizationStats, make_episode, seeded_rng,
                         synth_scenes)
-from granp.errors import DataError, ShapeError
+from granp.errors import DataError, NumericError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          LatentDistribution, ModelConfig, PreparedBatch,
                          PreparedScene, gaussian_nll, kl_diag, prepare_scene,
@@ -387,7 +387,7 @@ def test_default_training_step_tape_budget():
     model = GranpModel(ModelConfig(), seed=1)
     with Tape() as tape:
         model.elbo_loss(batch, np.zeros(model.config.latent))
-    assert len(tape) <= 140
+    assert len(tape) <= 142
 
 
 def test_f32_elbo_step_keeps_every_gradient_f32():
@@ -434,6 +434,16 @@ def test_predict_interval_arithmetic(f64):
                                atol=1e-9)
     np.testing.assert_allclose(pred.mean - pred.ci_low, 1.96 * pred.std,
                                atol=1e-9)
+
+
+def test_band_overflow_is_a_numeric_error_naming_it():
+    # computed outside every channel, the band came back as inf
+    pred = granp_model.PredictiveDistribution(
+        mean=np.full((2, 2), 1.7e308), std=np.full((2, 2), 1e308),
+        samples=np.zeros((1, 2, 2)))
+    for name in ("ci_low", "ci_high"):
+        with pytest.raises(NumericError, match=f"^{name}: overflow"):
+            getattr(pred, name)
 
 
 def test_predict_single_draw_collapses_to_decoder_sigma(f64):
@@ -911,28 +921,87 @@ def test_stack_mask_is_the_support_of_the_rbf_adjacency():
                                       np.eye(n_max, dtype=bool)[n:])
 
 
-def test_padding_node_states_do_not_reach_real_nodes(f64):
+def test_padding_node_states_do_not_reach_real_nodes(f64, monkeypatch):
     rng = np.random.default_rng(16)
     cfg = _micro_config()
     model = GranpModel(cfg, seed=5)
     scenes = [_micro_scene(rng, cfg, n) for n in (2, 6, 4)]
     states, mask = model._stack(scenes)
+    graph_attention = ad.graph_attention
 
-    def node_outputs(s):
-        h = model.embed.forward(ad.constant(s))
-        for gat in model.gat:
-            h, _ = gat.forward_seq(h, mask)
-        return h.data
+    def encoded(s):
+        """encode_pairs on the states s: its outputs, then each GAT
+        layer's node outputs."""
+        layers = []
+
+        def recording(*args):
+            out = graph_attention(*args)
+            layers.append(out[0].data)
+            return out
+
+        monkeypatch.setattr(model, "_stack", lambda _: (s, mask))
+        monkeypatch.setattr(ad, "graph_attention", recording)
+        h, ego_seq, _ = model.encode_pairs(scenes)
+        monkeypatch.undo()
+        return h.data, ego_seq.data, layers
 
     noisy = states.copy()
     for i, sc in enumerate(scenes):
         noisy[:, i, sc.states.shape[1]:] = rng.normal(
             scale=10.0, size=noisy[:, i, sc.states.shape[1]:].shape)
-    base, moved = node_outputs(states), node_outputs(noisy)
-    assert not np.allclose(base[:, 0, 2:], moved[:, 0, 2:])
+    base, moved = encoded(states), encoded(noisy)
+    (first, last), (first_moved, last_moved) = base[2], moved[2]
+    assert last.shape[2] == 1       # the last layer: the ego's row only
+    assert not np.allclose(first[:, 0, 2:], first_moved[:, 0, 2:])
     for i, sc in enumerate(scenes):
         n = sc.states.shape[1]
-        np.testing.assert_array_equal(moved[:, i, :n], base[:, i, :n])
+        np.testing.assert_array_equal(first_moved[:, i, :n], first[:, i, :n])
+        np.testing.assert_array_equal(last_moved[:, i], last[:, i])
+    for got, want in zip(moved[:2], base[:2]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (4,), (7,), (1, 4, 7)])
+def test_encode_pairs_matches_the_embedding_then_graph_attention(f64, sizes):
+    """The first GAT layer runs on the homogeneous states [s, 1] with the
+    weight [W_e; b_e] W_k; this is the embed -> gat0 -> gat1 composition
+    it replaces, in values and in gradients."""
+    rng = np.random.default_rng(21)
+    cfg = ModelConfig(hidden=8, heads=4, t_n=4, t_f=3)
+    model = GranpModel(cfg, seed=7)
+    for p in model.parameters():
+        # nonzero biases, so the embedding's b_e reaches the scores
+        p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    scenes = [_micro_scene(rng, cfg, n) for n in sizes]
+    states, mask = model._stack(scenes)
+    weight = ad.constant(rng.normal(size=(cfg.t_n, len(sizes), cfg.hidden)))
+    names = ("embed.0.W", "embed.0.b", "gat0.W", "gat0.a", "gat1.W", "gat1.a")
+    params = [p for p in model.parameters() if p.name in names]
+
+    def reference():
+        h = model.embed.forward(ad.constant(states[..., :4]))
+        h, att0 = model.gat[0].forward_seq(h, mask)
+        h, att1 = model.gat[1].forward_seq(h, mask[:, :1])
+        return h[:, :, 0], [att0, att1]
+
+    results = []
+    for encode in (lambda: model.encode_pairs(scenes)[1:], reference):
+        with Tape() as tape:
+            ego_seq, attention = encode()
+            loss = (ego_seq * weight).sum()
+        results.append((ego_seq.data, attention,
+                        backward(tape, loss, params)))
+    (ego, att, grads), (ego_ref, att_ref, grads_ref) = results
+    np.testing.assert_allclose(ego, ego_ref, rtol=1e-12, atol=0)
+    assert np.abs(ego_ref).max() > 0
+    for a, a_ref in zip(att, att_ref, strict=True):
+        np.testing.assert_allclose(a, a_ref, rtol=1e-12, atol=0)
+    for name in names:
+        scale = np.abs(grads_ref[name]).max()
+        # one-node scenes pin every softmax weight at 1: no score gradient
+        assert (scale > 0) != (name.endswith(".a") and sizes == (1,)), name
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0,
+                                   atol=1e-12 * scale, err_msg=name)
 
 
 def test_encode_pairs_attention_is_padded_not_block_diagonal():
