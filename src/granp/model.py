@@ -1,9 +1,9 @@
 """Graph-recurrent attentive neural process for trajectory prediction.
 
 Pair embedding runs per-timestep graph attention over the scene graph and an
-LSTM over the ego node's sequence.  The linear state embedding is folded into
-the first attention layer's weight, so that layer reads 4 features and a
-constant 1 per node instead of a d-wide embedding.  Context futures are
+LSTM over the ego node's sequence.  The linear state embedding is stored as
+the [5, d] weight that the first attention layer reads, so that layer runs on
+4 features and a constant 1 per node.  Context futures are
 length-matched by an interpolation layer, fused with the history features by
 two Conv-MLP encoders (one per path), and consumed by a deterministic
 cross-attention path and a latent Gaussian path.  The decoder emits per-step
@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DataError, NumericError, ShapeError
 from .layers import (ConvMlpEncoder, CrossAttention, GatLayer, LstmEncoder,
-                     MlpBlock)
+                     MlpBlock, _uniform)
 from .scene_graph import select_grid_nodes
 from .data import T_F, T_N, PreparedBatch, seeded_rng
 
@@ -30,7 +30,7 @@ LATENT_SIGMA_SPAN = 0.9
 DECODER_SIGMA_MIN = 0.01
 
 STATE_FEATURES = 4      # x, y, s, a
-GAT_LAYERS = 2          # stacked graph-attention layers
+MAX_DIMENSION = 1024    # largest model dimension a config may set
 CONV_KERNEL = 3         # temporal kernel of the Conv-MLP encoders
 PREDICT_CHUNK = 32      # scenes per encode pass, context or targets; bounds memory
 
@@ -39,7 +39,8 @@ PREDICT_CHUNK = 32      # scenes per encode pass, context or targets; bounds mem
 class ModelConfig:
     """Architecture knobs.  The tested envelope is hidden in {16, 32, 64,
     128} and heads in {2, 4, 8}; smaller values work and keep finite
-    difference checks cheap."""
+    difference checks cheap.  No dimension exceeds MAX_DIMENSION, so a
+    tampered manifest cannot make the model allocate without bound."""
 
     hidden: int = 64
     heads: int = 4
@@ -50,8 +51,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.latent == 0:
             self.latent = self.hidden
-        if min(self.hidden, self.heads, self.latent, self.t_n, self.t_f) < 1:
+        dims = (self.hidden, self.heads, self.latent, self.t_n, self.t_f)
+        if min(dims) < 1:
             raise DataError(f"non-positive model dimensions in {self}")
+        if max(dims) > MAX_DIMENSION:
+            raise DataError(f"model dimensions above {MAX_DIMENSION} in {self}")
         if self.hidden % self.heads != 0:
             raise DataError(f"hidden {self.hidden} not divisible by "
                             f"{self.heads} heads")
@@ -143,14 +147,13 @@ def kl_diag(posterior: LatentDistribution, prior: LatentDistribution) -> Tensor:
 
 
 def sample_latent(dist: LatentDistribution, noise) -> Tensor:
-    """Reparameterized draws z = mu + sigma * noise, one row per noise row
-    ([latent] or [S, latent]); gradients reach mu and sigma."""
+    """Reparameterized draws z = mu + sigma * noise, one row per row of the
+    [S, latent] noise; gradients reach mu and sigma."""
     noise = np.asarray(noise)
-    if noise.ndim not in (1, 2) or noise.shape[-1] != dist.dim:
+    if noise.ndim != 2 or noise.shape[1] != dist.dim:
         raise ShapeError(f"sample_latent: noise {noise.shape}, expected "
-                         f"[{dist.dim}] or [S, {dist.dim}]")
-    eps = ad.constant(noise.reshape(-1, dist.dim))
-    return dist.mu + dist.sigma * eps
+                         f"[S, {dist.dim}]")
+    return dist.mu + dist.sigma * ad.constant(noise)
 
 
 def _chunks(scenes):
@@ -169,9 +172,11 @@ class GranpModel:
         self.config = config
         rng = seeded_rng(seed)
         d, lat = config.hidden, config.latent
-        self.embed = MlpBlock("embed", [STATE_FEATURES, d], rng)
+        # [W_e; b_e]: the feature rows, then the bias row, which starts at 0
+        self.embed = Parameter("embed.W", np.vstack([
+            _uniform(rng, STATE_FEATURES, (STATE_FEATURES, d)), np.zeros((1, d))]))
         self.gat = [GatLayer(f"gat{i}", d, d, config.heads, rng)
-                    for i in range(GAT_LAYERS)]
+                    for i in range(2)]
         self.lstm = LstmEncoder("lstm", d, d, rng)
         self.interp = MlpBlock("interp", [config.t_f, config.t_n], rng)
         self.enc_det = ConvMlpEncoder("det", d + 2, d, d, CONV_KERNEL, rng)
@@ -183,7 +188,7 @@ class GranpModel:
         self._context_memo = None     # (key, (h_ctx, r_ctx, prior))
 
     def parameters(self):
-        params = list(self.embed.parameters())
+        params = [self.embed]
         for g in self.gat:
             params += g.parameters()
         params += self.lstm.parameters()
@@ -246,25 +251,20 @@ class GranpModel:
 
         The embedding x = s W_e + b_e is affine and a GAT layer reads its
         input only through x W_k, which is [s, 1] ([W_e; b_e] W_k) exactly.
-        So the first layer runs on the homogeneous states [s, 1] with that
-        composed [H, 5, d] weight, built on the tape from embed.0.W,
-        embed.0.b and gat0.W: its alpha @ x aggregate and projection GEMMs
-        are 5 columns wide per head instead of d.  embed.forward itself has
-        no caller here."""
+        embed.W is [W_e; b_e], so the first layer runs on the homogeneous
+        states [s, 1] with the [H, 5, d] weight embed.W @ gat0.W: its
+        alpha @ x aggregate and projection GEMMs are 5 columns wide per head
+        instead of d."""
         states, mask = self._stack(scenes)
-        gat0 = self.gat[0]
-        w_e, b_e = self.embed.weights[0].tensor, self.embed.biases[0].tensor
-        e = ad.concat([w_e, b_e.reshape((1, b_e.shape[0]))])    # [5, d]
+        gat0, gat1 = self.gat
+        e = self.embed.tensor
         # one copy per head: matmul's batched path takes equal leading dims
         w_0 = ad.matmul(e + ad.constant(np.zeros((gat0.heads,) + e.shape)),
                         gat0.w.tensor)
-        h, att = ad.graph_attention(ad.constant(states), w_0, gat0.a.tensor, mask)
-        attention = [att]
-        for i, gat in enumerate(self.gat[1:], 1):
-            h, att = gat.forward_seq(h, mask if i + 1 < len(self.gat) else mask[:, :1])
-            attention.append(att)
+        h, att0 = ad.graph_attention(ad.constant(states), w_0, gat0.a.tensor, mask)
+        h, att1 = gat1.forward_seq(h, mask[:, :1])
         ego_seq = h[:, :, 0]
-        return self.lstm.encode(ego_seq), ego_seq, attention
+        return self.lstm.encode(ego_seq), ego_seq, [att0, att1]
 
     def pair_features(self, ego_seq: Tensor, futures: np.ndarray) -> Tensor:
         """Fuse history features with length-matched future positions:

@@ -20,7 +20,7 @@ from .errors import DataError, FormatError
 from .model import (GranpModel, ModelConfig, PredictiveDistribution,
                     gaussian_nll, prepare_scene)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # params.bin element type per manifest "precision"
 _PARAM_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 HORIZONS_S = (1, 2, 3, 4, 5)
@@ -138,7 +138,7 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
             if len(chunk) < 3:
                 continue    # tail too small to form an episode
             batch = make_episode(chunk, rng)
-            noise = rng.standard_normal(config.latent)
+            noise = rng.standard_normal((1, config.latent))
             with ad.numeric_errors(f"epoch {epoch}, batch {b}"):
                 with Tape() as tape:
                     loss, diag = model.elbo_loss(batch, noise)

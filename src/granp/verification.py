@@ -135,7 +135,7 @@ def _elbo_case():
     for p in model.parameters():
         # off the zero-bias ReLU kinks that central differences would cross
         p.data = prng.uniform(-0.5, 0.5, size=p.data.shape)
-    noise = np.random.default_rng(7).standard_normal(cfg.latent)
+    noise = np.random.default_rng(7).standard_normal((1, cfg.latent))
     return lambda: model.elbo_loss(batch, noise)[0], model.parameters()
 
 

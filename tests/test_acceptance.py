@@ -99,7 +99,7 @@ def test_context_permutation_invariance(f64):
     prep = [prepare_scene(s, stats) for s in scenes]
     config = ModelConfig(hidden=16, heads=2)
     model = GranpModel(config, seed=3)
-    noise = np.random.default_rng(4).standard_normal(config.latent)
+    noise = np.random.default_rng(4).standard_normal((1, config.latent))
     m = 6
     base_loss = model.elbo_loss(PreparedBatch(scenes=prep, m=m), noise)[0].item()
     targets, context = prep[m:], prep[:m]

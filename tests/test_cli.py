@@ -138,6 +138,7 @@ def test_train_writes_checkpoint_and_history(pipeline):
 
 @pytest.mark.parametrize("flag,value", [
     ("--batch", "0"), ("--batch", "-4"), ("--lr", "-1"), ("--lr", "nan"),
+    ("--latent", "1000000000000"),
 ])
 def test_train_bad_setting_is_data_error(tmp_path, capsys, flag, value):
     data = tmp_path / "data"
@@ -358,15 +359,24 @@ def test_eval_future_too_large_for_f32_is_data_error(pipeline, tmp_path,
     assert "overflow f32" in capsys.readouterr().err
 
 
-def test_predict_version_1_checkpoint_is_data_error(pipeline, tmp_path,
-                                                    capsys):
-    # version 1 stored one W and one score vector per GAT head
+# version 1 stored one W and one score vector per GAT head, version 2 the
+# embedding as embed.0.W and embed.0.b; a config dimension above the bound
+# would allocate without limit before any other check
+@pytest.mark.parametrize("section,key,value,message", [
+    (None, "version", 1, "version 1, expected 3"),
+    (None, "version", 2, "version 2, expected 3"),
+    ("config", "hidden", 10 ** 12, "model dimensions above 1024"),
+    ("config", "heads", 10 ** 12, "model dimensions above 1024"),
+    ("config", "t_n", 10 ** 12, "model dimensions above 1024"),
+], ids=["version-1", "version-2", "hidden", "heads", "t_n"])
+def test_predict_refused_manifest_is_data_error(pipeline, tmp_path, capsys,
+                                                section, key, value, message):
     def edit(doc):
-        doc["version"] = 1
+        (doc[section] if section else doc)[key] = value
     data, ckpt = _edited_copy(pipeline, tmp_path, edit_manifest=edit)
     assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
     err = capsys.readouterr().err
-    assert _one_error_line(err, "error: ") and "version 1, expected 2" in err
+    assert _one_error_line(err, "error: ") and message in err
 
 
 @pytest.mark.parametrize("edit", ["edit_manifest", "edit_archive"])

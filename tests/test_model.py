@@ -8,7 +8,8 @@ from granp.data import (NormalizationStats, make_episode, seeded_rng,
                         synth_scenes)
 from granp.errors import DataError, NumericError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
-                         LatentDistribution, ModelConfig, PreparedBatch,
+                         MAX_DIMENSION, LatentDistribution, ModelConfig,
+                         PreparedBatch,
                          PreparedScene, gaussian_nll, kl_diag, prepare_scene,
                          sample_latent)
 from granp.scene_graph import GRID, build_adjacency, select_grid_nodes
@@ -61,6 +62,13 @@ def test_config_latent_defaults_to_hidden():
 def test_config_rejects_non_positive_dimensions(field):
     with pytest.raises(DataError, match="non-positive"):
         ModelConfig(**{"hidden": 8, "heads": 2, field: -1})
+
+
+@pytest.mark.parametrize("field", ["hidden", "heads", "latent", "t_n", "t_f"])
+def test_config_rejects_dimensions_above_the_bound(field):
+    ModelConfig(**{"hidden": MAX_DIMENSION, "heads": 2, field: MAX_DIMENSION})
+    with pytest.raises(DataError, match=f"above {MAX_DIMENSION}"):
+        ModelConfig(**{"hidden": 8, "heads": 2, field: MAX_DIMENSION + 1})
 
 
 def test_config_rejects_indivisible_heads():
@@ -127,19 +135,19 @@ def test_kl_gradients(f64):
 
 def test_sample_latent_zero_noise_returns_mean():
     d = _dist([0.5, -2.0], [0.3, 0.9])
-    z = sample_latent(d, np.zeros(2))
+    z = sample_latent(d, np.zeros((1, 2)))
     np.testing.assert_array_equal(z.data, d.mu.data)
 
 
 def test_sample_latent_unit_noise_adds_sigma():
     d = _dist([0.5, -2.0], [0.3, 0.9])
-    z = sample_latent(d, np.ones(2))
+    z = sample_latent(d, np.ones((1, 2)))
     np.testing.assert_allclose(z.data, d.mu.data + d.sigma.data, rtol=1e-6)
 
 
 def test_sample_latent_rejects_wrong_size():
     with pytest.raises(ShapeError, match="noise"):
-        sample_latent(_dist([0.0], [1.0]), np.zeros(3))
+        sample_latent(_dist([0.0], [1.0]), np.zeros((1, 3)))
 
 
 def test_sample_latent_rows_match_single_draws():
@@ -148,10 +156,10 @@ def test_sample_latent_rows_match_single_draws():
     rows = sample_latent(d, noise)
     assert rows.shape == (4, 3)
     for s, eps in enumerate(noise):
-        assert rows.data[s].tobytes() == sample_latent(d, eps).data[0].tobytes()
+        assert rows.data[s].tobytes() == sample_latent(d, eps[None]).data[0].tobytes()
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (2, 1, 3)])
+@pytest.mark.parametrize("shape", [(4, 4), (2, 1, 3), (3,)])
 def test_sample_latent_rejects_bad_noise_rows(shape):
     with pytest.raises(ShapeError, match="noise"):
         sample_latent(_dist([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), np.zeros(shape))
@@ -160,7 +168,7 @@ def test_sample_latent_rejects_bad_noise_rows(shape):
 def test_sample_latent_monte_carlo_moments(f64):
     rng = np.random.default_rng(11)
     d = _dist([1.0, -3.0, 0.2], [0.4, 1.5, 0.8])
-    draws = np.stack([sample_latent(d, rng.standard_normal(3)).data[0]
+    draws = np.stack([sample_latent(d, rng.standard_normal((1, 3))).data[0]
                       for _ in range(10000)])
     np.testing.assert_allclose(draws.mean(axis=0), d.mu.data[0], atol=0.05)
     np.testing.assert_allclose(draws.std(axis=0), d.sigma.data[0], rtol=0.05)
@@ -259,7 +267,7 @@ def test_decode_rejects_z_rows_unequal_to_target_rows(z_shape):
 def test_elbo_loss_matches_diagnostics(f64):
     cfg, batch = _micro_batch(seed=0)
     model = GranpModel(cfg, seed=3)
-    noise = np.random.default_rng(4).standard_normal(cfg.latent)
+    noise = np.random.default_rng(4).standard_normal((1, cfg.latent))
     loss, diag = model.elbo_loss(batch, noise)
     denom = len(batch.scenes) * cfg.t_f
     assert loss.item() == pytest.approx(
@@ -270,7 +278,7 @@ def test_elbo_loss_matches_diagnostics(f64):
 def test_elbo_kl_vanishes_when_context_is_everything(f64):
     cfg, batch = _micro_batch(seed=1, sizes=(2, 3), m=2)
     model = GranpModel(cfg, seed=3)
-    noise = np.zeros(cfg.latent)
+    noise = np.zeros((1, cfg.latent))
     _, diag = model.elbo_loss(batch, noise)
     assert diag["kl"] == 0.0
 
@@ -281,7 +289,7 @@ def test_elbo_invariant_to_context_order(f64):
     scenes = [_micro_scene(rng, cfg, int(n))
               for n in rng.integers(1, 5, size=5)]
     model = GranpModel(cfg, seed=3)
-    noise = rng.standard_normal(cfg.latent)
+    noise = rng.standard_normal((1, cfg.latent))
     m = 3
     base, _ = model.elbo_loss(PreparedBatch(scenes=scenes, m=m), noise)
     for _ in range(5):
@@ -296,7 +304,7 @@ def test_elbo_requires_futures():
     batch.scenes[1].future = None
     model = GranpModel(cfg, seed=3)
     with pytest.raises(DataError, match="future"):
-        model.elbo_loss(batch, np.zeros(cfg.latent))
+        model.elbo_loss(batch, np.zeros((1, cfg.latent)))
 
 
 def test_elbo_gradients_reach_every_parameter(f64):
@@ -304,7 +312,7 @@ def test_elbo_gradients_reach_every_parameter(f64):
     # softmax weight at 1 and makes the query and key grads exactly zero.
     cfg, batch = _micro_batch(seed=5, sizes=(2, 2, 2), m=2)
     model = GranpModel(cfg, seed=0)
-    noise = np.random.default_rng(7).standard_normal(cfg.latent)
+    noise = np.random.default_rng(7).standard_normal((1, cfg.latent))
     with Tape() as tape:
         loss, _ = model.elbo_loss(batch, noise)
     grads = backward(tape, loss, model.parameters())
@@ -355,7 +363,7 @@ def test_elbo_sub_noise_gradients_match_wider_step(seed, name, index, value, f64
     prng = np.random.default_rng(24)
     for p in model.parameters():
         p.data = prng.uniform(-0.5, 0.5, size=p.data.shape)
-    noise = np.random.default_rng(7).standard_normal(cfg.latent)
+    noise = np.random.default_rng(7).standard_normal((1, cfg.latent))
     with Tape() as tape:
         loss, _ = model.elbo_loss(batch, noise)
     analytic = backward(tape, loss, model.parameters())[name].reshape(-1)[index]
@@ -373,9 +381,10 @@ def test_elbo_sub_noise_gradients_match_wider_step(seed, name, index, value, f64
 
 
 def test_default_model_parameter_count_is_pinned():
-    # each GAT layer stores its heads stacked, as one W and one a; the
-    # checkpoint's parameter table has one entry per array
-    assert len(GranpModel(ModelConfig(), seed=0).parameters()) == 53
+    # the embedding is one [5, d] weight and each GAT layer stores its
+    # heads stacked, as one W and one a; the checkpoint's parameter table
+    # has one entry per array
+    assert len(GranpModel(ModelConfig(), seed=0).parameters()) == 52
 
 
 def test_default_training_step_tape_budget():
@@ -386,8 +395,8 @@ def test_default_training_step_tape_budget():
     batch = make_episode([prepare_scene(s, stats) for s in scenes], 3)
     model = GranpModel(ModelConfig(), seed=1)
     with Tape() as tape:
-        model.elbo_loss(batch, np.zeros(model.config.latent))
-    assert len(tape) <= 142
+        model.elbo_loss(batch, np.zeros((1, model.config.latent)))
+    assert len(tape) <= 140
 
 
 def test_f32_elbo_step_keeps_every_gradient_f32():
@@ -396,7 +405,7 @@ def test_f32_elbo_step_keeps_every_gradient_f32():
     batch = PreparedBatch(scenes=[prepare_scene(s, stats) for s in scenes], m=3)
     cfg = ModelConfig(hidden=16, heads=2)
     model = GranpModel(cfg, seed=1)
-    noise = np.random.default_rng(2).standard_normal(cfg.latent)
+    noise = np.random.default_rng(2).standard_normal((1, cfg.latent))
     with Tape() as tape:
         loss, _ = model.elbo_loss(batch, noise)
     seen = []
@@ -600,7 +609,7 @@ def test_scene_with_nan_or_too_large_future_is_rejected(value, use):
             model.predict(good[:1], good + [bad], _flat_stats(), samples=2)
         else:
             with ad.Tape():
-                model.elbo_loss(PreparedBatch(scenes=good + [bad], m=2), np.zeros(cfg.latent))
+                model.elbo_loss(PreparedBatch(scenes=good + [bad], m=2), np.zeros((1, cfg.latent)))
 
 
 def test_predict_rejects_negative_seed():
@@ -964,22 +973,23 @@ def test_padding_node_states_do_not_reach_real_nodes(f64, monkeypatch):
 @pytest.mark.parametrize("sizes", [(1,), (4,), (7,), (1, 4, 7)])
 def test_encode_pairs_matches_the_embedding_then_graph_attention(f64, sizes):
     """The first GAT layer runs on the homogeneous states [s, 1] with the
-    weight [W_e; b_e] W_k; this is the embed -> gat0 -> gat1 composition
-    it replaces, in values and in gradients."""
+    weight embed.W W_k, embed.W = [W_e; b_e]; this is the embedding
+    x = s W_e + b_e, then gat0 and gat1, in values and in gradients."""
     rng = np.random.default_rng(21)
     cfg = ModelConfig(hidden=8, heads=4, t_n=4, t_f=3)
     model = GranpModel(cfg, seed=7)
     for p in model.parameters():
-        # nonzero biases, so the embedding's b_e reaches the scores
+        # a nonzero bias row, so the embedding's b_e reaches the scores
         p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
     scenes = [_micro_scene(rng, cfg, n) for n in sizes]
     states, mask = model._stack(scenes)
     weight = ad.constant(rng.normal(size=(cfg.t_n, len(sizes), cfg.hidden)))
-    names = ("embed.0.W", "embed.0.b", "gat0.W", "gat0.a", "gat1.W", "gat1.a")
+    names = ("embed.W", "gat0.W", "gat0.a", "gat1.W", "gat1.a")
     params = [p for p in model.parameters() if p.name in names]
 
     def reference():
-        h = model.embed.forward(ad.constant(states[..., :4]))
+        e = model.embed.tensor
+        h = ad.matmul(ad.constant(states[..., :4]), e[:4]) + e[4]
         h, att0 = model.gat[0].forward_seq(h, mask)
         h, att1 = model.gat[1].forward_seq(h, mask[:, :1])
         return h[:, :, 0], [att0, att1]
