@@ -355,9 +355,14 @@ class GranpModel:
         """Negative ELBO per target pair per step, with diagnostics.
 
         loss = [sum of per-step Gaussian NLLs + KL(q(z|S_T) || q(z|S_C))]
-               / (k * t_f), one reparameterized z draw per call.
+               / (k * t_f), one reparameterized z draw per call: noise is
+        [1, latent], and any other shape is a ShapeError before any encode.
         """
         scenes, m = batch.scenes, batch.m
+        noise = np.asarray(noise)
+        if noise.shape != (1, self.config.latent):
+            raise ShapeError(f"elbo_loss: noise {noise.shape}, expected "
+                             f"[1, {self.config.latent}]")
         if any(sc.future is None for sc in scenes):
             raise DataError("elbo_loss: every target needs a future")
         k = len(scenes)
@@ -384,36 +389,46 @@ class GranpModel:
         return loss, {"recon_nll": nll_sum.item() / denom, "kl": kl.item()}
 
     def predict(self, targets, context, stats, samples: int = 30, seed=0):
-        """Decode S latent draws from the context prior and pool them.
-
-        The draws are seeded_rng(seed).standard_normal((samples, latent)),
-        so (samples, seed) fix them.  Pooled variance adds the decoder
-        variance to the spread of the sampled means; the band is mean +/-
-        1.96 sigma per axis.  Outputs are de-normalized to meters via stats.
+        """Pooled predictive distributions of the targets, in input order,
+        each with its S sampled trajectories in meters; see pool_targets.
 
         Runs under ad.numeric_errors("predict"): an op that overflows, as
         an overflowing parameter makes one, raises NumericError naming it.
+        """
+        targets = list(targets)
+        results = [None] * len(targets)
+        with ad.numeric_errors("predict"):
+            for rows, mus, mean_m, sd_m in self.pool_targets(
+                    targets, context, stats, samples, seed):
+                samples_m = stats.invert_xy(mus)
+                for j, i in enumerate(rows):
+                    results[i] = PredictiveDistribution(
+                        mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
+        return results
+
+    def pool_targets(self, targets, context, stats, samples, seed):
+        """Decode S latent draws from the context prior and pool them, one
+        target chunk at a time: yields (rows, mus, mean, sd), the chunk's f64
+        draws [S, k, t_f, 2] in normalized units and its pooled [k, t_f, 2]
+        mean and sd in meters.  Nothing is kept from one chunk to the next.
+
+        The draws are seeded_rng(seed).standard_normal((samples, latent)),
+        so (samples, seed) fix them.  Pooled variance adds the decoder
+        variance to the spread of the sampled means; outputs are
+        de-normalized to meters via stats.  Callers iterate it under
+        ad.numeric_errors("predict").
         """
         if not context:
             raise DataError("predict: empty context")
         if samples < 1:
             raise DataError(f"predict: samples must be >= 1, got {samples}")
         noise = seeded_rng(seed).standard_normal((samples, self.config.latent))
-        targets = list(targets)
-        results = [None] * len(targets)
-        with ad.numeric_errors("predict"):
-            for rows, mus, sigmas in self.decode_targets(targets, context, noise):
-                mus = mus.astype(np.float64)
-                sig2 = np.square(sigmas).mean(axis=0, dtype=np.float64)
-                pooled_mean = mus.mean(axis=0)
-                pooled_sd = np.sqrt(sig2 + mus.var(axis=0))
-                mean_m = stats.invert_xy(pooled_mean)
-                sd_m = stats.scale_xy(pooled_sd)
-                samples_m = stats.invert_xy(mus)
-                for j, i in enumerate(rows):
-                    results[i] = PredictiveDistribution(
-                        mean=mean_m[j], std=sd_m[j], samples=samples_m[:, j])
-        return results
+        for rows, mus, sigmas in self.decode_targets(targets, context, noise):
+            mus = mus.astype(np.float64)
+            sig2 = np.square(sigmas).mean(axis=0, dtype=np.float64)
+            pooled_sd = np.sqrt(sig2 + mus.var(axis=0))
+            yield (rows, mus, stats.invert_xy(mus.mean(axis=0)),
+                   stats.scale_xy(pooled_sd))
 
     def decode_targets(self, targets, context, noise):
         """Encode the context and draw z from its prior (a row per noise row)

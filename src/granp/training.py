@@ -199,36 +199,49 @@ def _horizon_steps(t_f: int):
 
 
 def metrics_from_predictions(predictions, futures_m, t_f: int) -> EvalReport:
-    """Per-horizon RMSE of the pooled mean and NLL of the truth under the
-    pooled per-axis Gaussians, both in meters."""
+    """horizon_metrics of a list of predictions and their true futures."""
     if not predictions:
         raise DataError("metrics: no predictions")
     if len(predictions) != len(futures_m):
         raise DataError(f"metrics: {len(predictions)} predictions but "
                         f"{len(futures_m)} futures")
+    return horizon_metrics(np.stack([p.mean for p in predictions]),
+                           np.stack([p.std for p in predictions]),
+                           np.stack(futures_m), t_f)
+
+
+def horizon_metrics(mean, sd, truth, t_f: int) -> EvalReport:
+    """Per-horizon RMSE of the pooled mean and NLL of the truth under the
+    pooled per-axis Gaussians, both in meters, from stacked [N, t_f, 2]
+    arrays."""
     steps = _horizon_steps(t_f)
-    mean = np.stack([p.mean for p in predictions])      # [N, t_f, 2]
-    sd = np.stack([p.std for p in predictions])
-    truth = np.stack(futures_m)
     err2 = np.square(mean - truth).sum(axis=2)          # [N, t_f]
     nll = gaussian_nll(truth, mean, sd).sum(axis=2)
     rmse = {k: float(np.sqrt(err2[:, i].mean())) for k, i in steps.items()}
     nlls = {k: float(nll[:, i].mean()) for k, i in steps.items()}
-    return EvalReport(rmse_m=rmse, nll_nats=nlls, n_scenes=len(predictions))
+    return EvalReport(rmse_m=rmse, nll_nats=nlls, n_scenes=len(mean))
 
 
 def evaluate(model: GranpModel, scenes, stats, reference, samples: int = 30,
              seed=0) -> EvalReport:
-    """Pooled predictive metrics on raw scenes against their true futures.
-    The metrics run under ad.numeric_errors("evaluate"), as predict does."""
+    """Pooled predictive metrics on raw scenes against their true futures:
+    predict's draws and pooling, chunk by chunk, keeping only each target's
+    pooled mean and sd, so memory does not grow with scenes x samples.
+    Decoding and pooling run under ad.numeric_errors("predict"), the
+    metrics under ad.numeric_errors("evaluate")."""
     if not scenes:
         raise DataError("evaluate: no scenes")
     targets = [prepare_scene(s, stats) for s in scenes]
     context = [prepare_scene(s, stats) for s in reference]
-    preds = model.predict(targets, context, stats, samples=samples, seed=seed)
+    shape = (len(targets), model.config.t_f, 2)
+    mean, sd = np.empty(shape), np.empty(shape)
+    with ad.numeric_errors("predict"):
+        for rows, _, mean_m, sd_m in model.pool_targets(
+                targets, context, stats, samples, seed):
+            mean[rows], sd[rows] = mean_m, sd_m
     with ad.numeric_errors("evaluate"):
-        return metrics_from_predictions(preds, [s.future for s in scenes],
-                                        model.config.t_f)
+        return horizon_metrics(mean, sd, np.stack([s.future for s in scenes]),
+                               model.config.t_f)
 
 
 def cv_baseline(scene) -> PredictiveDistribution:

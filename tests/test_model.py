@@ -307,6 +307,23 @@ def test_elbo_requires_futures():
         model.elbo_loss(batch, np.zeros((1, cfg.latent)))
 
 
+@pytest.mark.parametrize("rows", [3, 2], ids=["one-per-target", "two-rows"])
+def test_elbo_rejects_noise_that_is_not_one_row(monkeypatch, rows):
+    # [k, latent] noise used to decode a different draw per target, and
+    # [2, latent] used to raise from inside add; both fail before any encode
+    cfg, batch = _micro_batch(seed=0, sizes=(3, 2, 2))
+    model = GranpModel(cfg, seed=3)
+
+    def no_encode(scenes):
+        raise AssertionError("encode_pairs ran")
+
+    monkeypatch.setattr(model, "encode_pairs", no_encode)
+    with pytest.raises(ShapeError, match=rf"^elbo_loss: noise \({rows}, "
+                                         rf"{cfg.latent}\), expected "
+                                         rf"\[1, {cfg.latent}\]$"):
+        model.elbo_loss(batch, np.zeros((rows, cfg.latent)))
+
+
 def test_elbo_gradients_reach_every_parameter(f64):
     # m >= 2 so cross-attention has more than one key; a single key pins the
     # softmax weight at 1 and makes the query and key grads exactly zero.

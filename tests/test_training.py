@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,67 @@ def test_evaluate_is_scene_order_invariant(f64):
         assert a.nll_nats[h] == pytest.approx(b.nll_nats[h], abs=1e-9)
     with pytest.raises(DataError, match="no scenes"):
         evaluate(model, [], stats, reference)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_evaluate_matches_metrics_of_predict(precision):
+    # evaluate streams the pooled chunks; the list path stacks predict's
+    # distributions: one metrics core, so the reports agree byte for byte
+    scenes = synth_scenes(45, seed=4, mix=0.5)
+    stats = NormalizationStats.fit(scenes[:5])
+    with ad.precision(precision):
+        model = GranpModel(ModelConfig(hidden=8, heads=2), seed=0)
+        targets, reference = scenes[5:], scenes[:5]
+        report = evaluate(model, targets, stats, reference, samples=4, seed=2)
+        preds = model.predict([prepare_scene(s, stats) for s in targets],
+                              [prepare_scene(s, stats) for s in reference],
+                              stats, samples=4, seed=2)
+        listed = metrics_from_predictions(preds, [s.future for s in targets],
+                                          T_F)
+    assert report.to_json() == listed.to_json()
+
+
+def test_evaluate_memory_does_not_grow_with_the_draws():
+    # keeping every target's [S, t_f, 2] f64 draws until the metrics ran
+    # would cost 480 * S * t_f * 2 * 8 bytes more for 480 more targets
+    samples = 60
+    scenes = synth_scenes(8 + 512, seed=6, mix=0.7)
+    stats = NormalizationStats.fit(scenes[:8])
+    model = GranpModel(ModelConfig(hidden=16, heads=2), seed=0)
+    evaluate(model, scenes[8:10], stats, scenes[:8], samples=samples)
+    peaks = []
+    for n in (32, 512):
+        tracemalloc.start()
+        try:
+            evaluate(model, scenes[8:8 + n], stats, scenes[:8],
+                     samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    kept_draws = 480 * samples * model.config.t_f * 2 * 8
+    assert peaks[1] - peaks[0] < 0.5 * kept_draws
+
+
+def test_evaluate_keeps_predicts_checks():
+    scenes = synth_scenes(8, seed=4, mix=0.5)
+    stats = NormalizationStats.fit(scenes[:5])
+    model = GranpModel(_tiny_config(), seed=0)
+    with pytest.raises(DataError, match="samples must be >= 1, got 0"):
+        evaluate(model, scenes[5:], stats, scenes[:5], samples=0)
+    with pytest.raises(DataError, match="empty context"):
+        evaluate(model, scenes[5:], stats, [])
+
+
+def test_evaluate_decoding_that_overflows_is_a_predict_error():
+    # an overflowing decoder weight fails in the decode and pooling, which
+    # keep predict's numeric channel; the metrics keep "evaluate" (below)
+    scenes = synth_scenes(8, seed=4, mix=0.5)
+    stats = NormalizationStats.fit(scenes[:5])
+    model = GranpModel(_tiny_config(), seed=0)
+    weight = next(p for p in model.parameters() if p.name == "decoder.2.W")
+    weight.data = np.full_like(weight.data, 3e38)
+    with pytest.raises(NumericError, match=r"^predict: overflow encountered in "):
+        evaluate(model, scenes[5:], stats, scenes[:5], samples=2, seed=0)
 
 
 def test_evaluate_metrics_that_overflow_are_numeric_error():
