@@ -9,6 +9,8 @@ configuration, not a per-tensor property.
 from __future__ import annotations
 
 import contextlib
+import os
+import pickle
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -669,12 +671,23 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter]) -> dict[st
     ``fn`` must evaluate a scalar objective from the current values of
     ``params``. Requires the global precision to be f64. Returns, per
     Parameter, max over entries of |g_ad - g_fd| / max(|g_fd|, 1e-8).
+
+    The entries, numbered in ``params`` order, are cut into one contiguous
+    slice per CPU the process may run on.  This process checks the first
+    slice; each other slice runs in a forked child that only calls ``fn``
+    and ends with ``os._exit``.  The result, and any error raised (that of
+    the first failing entry), are those of checking every entry here in
+    turn, and every child is reaped before this returns or raises.
     """
     if get_precision() != "f64":
         raise DataError("grad_check requires the global precision to be f64")
     for p in params:
-        if p.tensor.data.dtype != np.float64:
+        data = p.tensor.data
+        if data.dtype != np.float64:
             raise DataError(f"grad_check: parameter {p.name!r} is not float64")
+        if not (data.flags.writeable and data.flags.c_contiguous):
+            raise DataError(f"grad_check: parameter {p.name!r} cannot be perturbed in "
+                            "place: its data is not a writeable C-contiguous array")
 
     with Tape() as tape:
         value = fn()
@@ -682,23 +695,98 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter]) -> dict[st
         raise NumericError("grad_check: objective is not finite")
     analytic = backward(tape, value, params)
 
+    entries = sum(p.tensor.data.size for p in params)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, entries))
+    bounds = [entries * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end of its pipe), in slice order, not yet reaped
+    try:
+        for w in range(1, workers):
+            children.append(_fork_slice(fn, params, analytic, bounds[w], bounds[w + 1]))
+        outcomes = [_fd_slice(fn, params, analytic, bounds[0], bounds[1])]
+        while children and outcomes[-1][1] is None:
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not data:
+                raise RuntimeError(f"grad_check: the worker for entries {bounds[len(outcomes)]}.."
+                                   f"{bounds[len(outcomes) + 1]} ended without a result "
+                                   f"(wait status {status})")
+            outcomes.append(pickle.loads(data))
+    finally:
+        # left when a slice raised or the wait was interrupted: stop and reap
+        for pid, pipe in children:
+            from signal import SIGKILL  # not loaded by importing granp
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+    worst = [0.0] * len(params)
+    for slice_worst, failure in outcomes:
+        if failure is not None:
+            raise failure
+        worst = [max(a, b) for a, b in zip(worst, slice_worst)]
+    return {p.name: w for p, w in zip(params, worst)}
+
+
+def _fd_slice(fn, params, analytic, start: int, stop: int):
+    """Central differences of the entries [start, stop), numbered across
+    ``params`` in order.  Returns (worst error per parameter, None), or
+    (None, exception) for the first entry whose check raised."""
     h = FD_STEP
-    errors: dict[str, float] = {}
-    for p in params:
-        flat = p.tensor.data.reshape(-1)
-        g_ad = analytic[p.name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = fn().item()
-            flat[i] = orig - h
-            f_minus = fn().item()
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError(f"grad_check: non-finite objective perturbing {p.name!r}")
-            g_fd = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(g_ad[i] - g_fd) / max(abs(g_fd), 1e-8)
-            worst = max(worst, rel)
-        errors[p.name] = worst
-    return errors
+    worst = [0.0] * len(params)
+    offset = 0
+    try:
+        for k, p in enumerate(params):
+            flat = p.tensor.data.reshape(-1)
+            g_ad = analytic[p.name].reshape(-1)
+            for i in range(max(start - offset, 0), min(stop - offset, flat.size)):
+                orig = flat[i]
+                try:
+                    flat[i] = orig + h
+                    f_plus = fn().item()
+                    flat[i] = orig - h
+                    f_minus = fn().item()
+                finally:
+                    flat[i] = orig
+                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                    raise NumericError(f"grad_check: non-finite objective perturbing {p.name!r}")
+                g_fd = (f_plus - f_minus) / (2.0 * h)
+                rel = abs(g_ad[i] - g_fd) / max(abs(g_fd), 1e-8)
+                worst[k] = max(worst[k], rel)
+            offset += flat.size
+    except Exception as err:
+        return None, err
+    return worst, None
+
+
+def _fork_slice(fn, params, analytic, start: int, stop: int):
+    """Fork a child that checks the entries [start, stop) and writes
+    _fd_slice's outcome, pickled, to a pipe; returns (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child: it never returns into the caller's stack
+        try:
+            os.close(read_fd)
+            outcome = _fd_slice(fn, params, analytic, start, stop)
+            try:
+                data = pickle.dumps(outcome)
+                pickle.loads(data)  # an exception can pickle and not load
+            except Exception:
+                # such an exception crosses as its type name and message
+                err = outcome[1]
+                data = pickle.dumps((None, RuntimeError(f"{type(err).__name__}: {err}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")

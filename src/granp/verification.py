@@ -3,6 +3,10 @@
 One scalar objective per primitive, per layer, and for the full ELBO on a
 two-scene batch; each is run through grad_check (central differences,
 h=1e-5) and reported as the worst relative error over its parameters.
+grad_check deals each case's entries across the CPUs the process may run
+on, forking a child per extra CPU, and the results are byte-identical
+whatever their number.  The whole-model case is about 99% of the suite's
+time: 4140 entries, each two ELBO forwards.
 
 Central differences resolve a gradient entry only when it is exactly zero
 (the perturbation leaves the objective bit-identical) or well above the

@@ -2,6 +2,8 @@
 finite-difference agreement for every primitive."""
 
 import contextlib
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from granp import autodiff as ad
 from granp.errors import DataError, NumericError, ShapeError
-from granp.verification import _primitive_cases
+from granp.verification import _layer_cases, _primitive_cases
 
 
 def test_matmul_identity():
@@ -554,6 +556,151 @@ def test_grad_check_requires_f64():
     w = ad.Parameter("w", [1.0])
     with pytest.raises(DataError):
         ad.grad_check(lambda: ad.reduce_sum(w.tensor), [w])
+
+
+def _cpus(monkeypatch, n):
+    """Make grad_check see n CPUs, or none at all (n None): no affinity call."""
+    if n is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_grad_check_split_gives_the_serial_result(f64, monkeypatch):
+    fn, params = _layer_cases(np.random.default_rng(3))["cross_attention"]
+    before = [p.data.tobytes() for p in params]
+    results = {}
+    for n in (None, 1, 2, 3):
+        _cpus(monkeypatch, n)
+        results[n] = ad.grad_check(fn, params)
+        _assert_no_child_left()
+        assert [p.data.tobytes() for p in params] == before
+    serial = results[1]
+    assert len(serial) == len(params) > 1
+    for n, errs in results.items():
+        assert list(errs) == list(serial), n
+        assert [(type(v), v) for v in errs.values()] == \
+            [(type(v), v) for v in serial.values()], n
+
+
+def _failing_on_two_entries():
+    """Entries 2 (a[2]) and 4 (b[1]) fail on their minus step: log of a
+    negative number and a division by zero.  With 2 CPUs they fall in the
+    parent's slice and a child's; with 3 CPUs in two children's."""
+    a = ad.Parameter("a", [1.0, 2.0, 3.0])
+    b = ad.Parameter("b", [4.0, 5.0, 6.0])
+    ca = ad.constant(a.data - [1.0, 1.0, 0.5 * ad.FD_STEP])
+    cb = ad.constant(b.data - [1.0, ad.FD_STEP, 1.0])
+    one = ad.constant(1.0)
+    fn = lambda: ad.add(ad.reduce_sum(ad.log(ad.sub(a.tensor, ca))),
+                        ad.reduce_sum(ad.div(one, ad.sub(b.tensor, cb))))
+    return fn, [a, b]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("channel", ["non-finite", "numeric_errors"])
+def test_grad_check_raises_the_first_failing_entry(f64, monkeypatch, cpus, channel):
+    _cpus(monkeypatch, cpus)
+    fn, params = _failing_on_two_entries()
+    before = [p.data.tobytes() for p in params]
+    if channel == "non-finite":
+        ctx = np.errstate(all="ignore")
+        expected = "^grad_check: non-finite objective perturbing 'a'$"
+    else:
+        # the FloatingPointError crosses from a child as itself
+        ctx = ad.numeric_errors("gradcheck")
+        expected = "^gradcheck: invalid value encountered in log$"
+    with pytest.raises(NumericError, match=expected), ctx:
+        ad.grad_check(fn, params)
+    _assert_no_child_left()
+    assert [p.data.tobytes() for p in params] == before
+
+
+def test_grad_check_restores_the_entry_the_objective_failed_on(f64, monkeypatch):
+    _cpus(monkeypatch, 1)
+    w = ad.Parameter("w", [1.0, 2.0])
+    c = ad.constant([1.0 - 0.5 * ad.FD_STEP, 0.0])
+    with pytest.raises(NumericError, match="invalid value encountered in log"):
+        with ad.numeric_errors("gradcheck"):
+            ad.grad_check(lambda: ad.reduce_sum(ad.log(ad.sub(w.tensor, c))), [w])
+    assert w.data.tobytes() == np.array([1.0, 2.0]).tobytes()
+
+
+class _TwoPartError(Exception):
+    """Pickles, but does not load: its one arg is not what __init__ takes."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
+@pytest.mark.parametrize("dumps", [False, True])
+def test_grad_check_error_that_does_not_pickle_crosses_by_message(f64, monkeypatch, dumps):
+    class LocalError(Exception):    # a local class does not pickle
+        pass
+
+    error = _TwoPartError("moved", "w[1]") if dumps else LocalError("moved w[1]")
+    _cpus(monkeypatch, 2)
+    w = ad.Parameter("w", [1.0, 2.0])
+
+    def fn():
+        if w.data[1] != 2.0:
+            raise error
+        return ad.reduce_sum(w.tensor)
+
+    with pytest.raises(RuntimeError,
+                       match=f"^{type(error).__name__}: moved w\\[1\\]$"):
+        ad.grad_check(fn, [w])
+    _assert_no_child_left()
+
+
+def test_grad_check_reports_a_child_that_died(f64, monkeypatch):
+    _cpus(monkeypatch, 2)
+    w = ad.Parameter("w", [1.0, 2.0])
+    parent = os.getpid()
+
+    def fn():
+        if os.getpid() != parent:
+            os._exit(3)
+        return ad.reduce_sum(w.tensor)
+
+    with pytest.raises(RuntimeError, match="entries 1..2 ended without a result"):
+        ad.grad_check(fn, [w])
+    _assert_no_child_left()
+
+
+def test_grad_check_interrupted_kills_its_children(f64, monkeypatch):
+    _cpus(monkeypatch, 2)
+    w = ad.Parameter("w", [1.0, 2.0])
+    parent = os.getpid()
+    calls = []
+
+    def fn():
+        calls.append(None)
+        if os.getpid() != parent:
+            time.sleep(60)            # the child would outlive the call
+        elif len(calls) > 1:          # the analytic pass is call 1
+            raise KeyboardInterrupt
+        return ad.reduce_sum(w.tensor)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        ad.grad_check(fn, [w])
+    _assert_no_child_left()
+    assert time.perf_counter() - start < 30
+    assert w.data.tolist() == [1.0, 2.0]
+
+
+def test_grad_check_refuses_a_transposed_parameter(f64):
+    w = ad.Parameter("wt", np.arange(6.0).reshape(3, 2).T)
+    assert not w.data.flags.c_contiguous
+    with pytest.raises(DataError, match="'wt'.*not a writeable C-contiguous"):
+        ad.grad_check(lambda: ad.reduce_sum(ad.mul(w.tensor, w.tensor)), [w])
 
 
 def test_precision_switch_changes_dtype():

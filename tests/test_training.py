@@ -412,6 +412,15 @@ def test_checkpoint_f64_roundtrip_is_bit_identical(tmp_path, f64):
     assert len(blob) == 8 * sum(p.data.size for p in model.parameters())
 
 
+def test_grad_check_refuses_a_read_only_checkpoint_parameter(tmp_path, f64):
+    model, stats, reference = _roundtrip_setup()
+    save_checkpoint(tmp_path, model, stats, reference)
+    w = load_checkpoint(tmp_path)[0].parameters()[0]
+    assert not w.data.flags.writeable    # a view of the file's bytes
+    with pytest.raises(DataError, match=f"{w.name!r}.*not a writeable"):
+        ad.grad_check(lambda: ad.reduce_sum(ad.mul(w.tensor, w.tensor)), [w])
+
+
 def test_checkpoint_keeps_parameter_precision_not_process_precision(tmp_path):
     # an f64 model saved from an f32 process must not be rounded to f32
     with ad.precision("f64"):
