@@ -135,13 +135,15 @@ def constant(x) -> Tensor:
 
 
 class Parameter:
-    """Named trainable tensor; ``backward`` keys its gradient by the name."""
+    """Named trainable tensor; ``backward`` keys its gradient by the name.
+    Its data is a writeable C-contiguous copy of the input in the run's
+    precision; assigning ``data`` writes into it in place, same shape only."""
 
     __slots__ = ("name", "tensor")
 
     def __init__(self, name: str, data):
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
+        self.tensor = Tensor(np.array(data, dtype=_dtype, order="C"), requires_grad=True)
 
     @property
     def data(self) -> np.ndarray:
@@ -149,7 +151,10 @@ class Parameter:
 
     @data.setter
     def data(self, value) -> None:
-        self.tensor.data = np.asarray(value, dtype=self.tensor.data.dtype)
+        if np.shape(value) != self.data.shape:
+            raise ShapeError(f"parameter {self.name!r}: shape {np.shape(value)}, "
+                             f"expected {self.data.shape}")
+        self.tensor.data[...] = value
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -682,12 +687,8 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter]) -> dict[st
     if get_precision() != "f64":
         raise DataError("grad_check requires the global precision to be f64")
     for p in params:
-        data = p.tensor.data
-        if data.dtype != np.float64:
+        if p.data.dtype != np.float64:
             raise DataError(f"grad_check: parameter {p.name!r} is not float64")
-        if not (data.flags.writeable and data.flags.c_contiguous):
-            raise DataError(f"grad_check: parameter {p.name!r} cannot be perturbed in "
-                            "place: its data is not a writeable C-contiguous array")
 
     with Tape() as tape:
         value = fn()

@@ -185,6 +185,12 @@ class GranpModel:
         self.cross = CrossAttention("cross", d, config.heads, rng)
         self.decoder = MlpBlock(
             "decoder", [2 * d + lat, 2 * d, 2 * d, 4 * config.t_f], rng)
+        # one [P] buffer in parameters() order; each parameter views its slice
+        params = self.parameters()
+        self.flat = np.concatenate([p.data.reshape(-1) for p in params])
+        cuts = np.cumsum([p.data.size for p in params])[:-1]
+        for p, part in zip(params, np.split(self.flat, cuts)):
+            p.tensor.data = part.reshape(p.data.shape)
         self._context_memo = None     # (key, (h_ctx, r_ctx, prior))
 
     def parameters(self):
@@ -312,7 +318,7 @@ class GranpModel:
 
     def _context_key(self, context):
         """Exact snapshot of what the context encoding reads."""
-        arrays = [p.data for p in self.parameters()]
+        arrays = [self.flat]
         for sc in context:
             arrays += [sc.states, sc.future]
         return ad.get_precision(), [(a.shape, a.dtype.str, a.tobytes())

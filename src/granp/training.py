@@ -16,7 +16,7 @@ from .autodiff import Tape, backward
 from .data import (NormalizationStats, TARGET_HZ, T_F, dump_json,
                    make_episode, read_json, scenes_from_doc, scenes_to_doc,
                    seeded_rng, write_atomic, write_json)
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, ShapeError
 from .model import (GranpModel, ModelConfig, PredictiveDistribution,
                     gaussian_nll, prepare_scene)
 
@@ -44,10 +44,14 @@ class AdamState:
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
     def step(self, grads: dict):
-        """One update from a gradient map keyed by parameter name."""
-        missing = [p.name for p in self.params if p.name not in grads]
-        if missing:
-            raise DataError(f"adam_step: missing gradient for {missing[0]!r}")
+        """One update from a gradient map keyed by parameter name; a missing
+        or misshapen gradient raises before any state changes."""
+        for p in self.params:
+            if p.name not in grads:
+                raise DataError(f"adam_step: missing gradient for {p.name!r}")
+            if np.shape(grads[p.name]) != p.data.shape:
+                raise ShapeError(f"adam_step: gradient for {p.name!r} has shape "
+                                 f"{np.shape(grads[p.name])}, expected {p.data.shape}")
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
@@ -55,7 +59,7 @@ class AdamState:
             g = grads[p.name]
             m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1 - ADAM_BETA1) * g
             v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1 - ADAM_BETA2) * g * g
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -127,7 +131,7 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
     adam = AdamState(model.parameters(), lr=settings.lr)
     history = []
     best_val = math.inf
-    best_params = None
+    best_flat = None
     best_epoch = 0
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(len(prep_train))
@@ -154,9 +158,8 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
         if v < best_val:
             best_val = v
             best_epoch = epoch
-            best_params = [p.data.copy() for p in model.parameters()]
-    for p, data in zip(model.parameters(), best_params):
-        p.data = data
+            best_flat = model.flat.copy()
+    model.flat[:] = best_flat
     return TrainResult(model=model, stats=stats, reference=ref_raw,
                        history=history, best_epoch=best_epoch)
 
@@ -281,18 +284,15 @@ def save_checkpoint(dir_path, model: GranpModel, stats: NormalizationStats,
     manifest records params.bin's SHA-256."""
     os.makedirs(dir_path, exist_ok=True)
     # the model's own, not ad.get_precision(): the process may have switched
-    precision = "f64" if model.parameters()[0].data.dtype == np.float64 else "f32"
+    precision = "f64" if model.flat.dtype == np.float64 else "f32"
     dt = _PARAM_DTYPES[precision]
     entries = []
-    blobs = []
     offset = 0
     for p in model.parameters():
-        raw = np.ascontiguousarray(p.data, dtype=dt).tobytes()
         entries.append({"name": p.name, "shape": list(p.data.shape),
                         "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-    params_blob = b"".join(blobs)
+        offset += dt.itemsize * p.data.size
+    params_blob = model.flat.astype(dt, copy=False).tobytes()
     manifest = {
         "version": CHECKPOINT_VERSION,
         "precision": precision,
@@ -349,20 +349,15 @@ def load_checkpoint(dir_path):
             if entry["offset"] != offset:
                 raise FormatError(f"{manifest_path}: offset {entry['offset']} "
                                   f"for {p.name!r}, expected {offset}")
-            count = int(np.prod(shape)) if shape else 1
-            end = offset + dt.itemsize * count
-            if end > len(blob):
-                raise FormatError(f"params.bin truncated at {p.name!r}: need "
-                                  f"{end} bytes, have {len(blob)}")
-            p.data = np.frombuffer(blob, dtype=dt, count=count,
-                                   offset=offset).reshape(shape)
+            offset += dt.itemsize * p.data.size
+        if offset != len(blob):
+            kind = "truncated" if len(blob) < offset else "has trailing bytes"
+            raise FormatError(f"params.bin {kind}: {len(blob)} bytes, expected {offset}")
+        model.flat[:] = np.frombuffer(blob, dtype=dt)
+        for p in params:
             if not np.isfinite(p.data).all():
                 raise FormatError(f"{params_path}: parameter {p.name!r} is "
                                   f"not finite")
-            offset = end
-        if offset != len(blob):
-            raise FormatError(
-                f"params.bin has {len(blob) - offset} trailing bytes")
         if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
             raise FormatError(f"{params_path}: SHA-256 does not match the "
                               f"manifest's params_sha256; params.bin is "

@@ -7,14 +7,6 @@ grad_check deals each case's entries across the CPUs the process may run
 on, forking a child per extra CPU, and the results are byte-identical
 whatever their number.  The whole-model case is about 99% of the suite's
 time: 4140 entries, each two ELBO forwards.
-
-Central differences resolve a gradient entry only when it is exactly zero
-(the perturbation leaves the objective bit-identical) or well above the
-objective's floating-point evaluation noise.  The whole-model check
-therefore uses single-vehicle scenes: every attention softmax then has one
-key, its weight is pinned at exactly 1, and the attention-jacobian terms
-vanish identically instead of leaving sub-noise residue.  Multi-node
-attention gradients are exercised by the layer checks.
 """
 
 import numpy as np
@@ -123,7 +115,14 @@ def _layer_cases(rng: np.random.Generator) -> dict:
 
 
 def _elbo_case():
-    """Full model on two single-vehicle scenes, randomized parameters."""
+    """Full model on two single-vehicle scenes, randomized parameters.
+
+    Central differences at h = 1e-5 resolve an entry only when it is exactly
+    zero (both sides agree bit for bit) or above the loss's f64 evaluation
+    noise, about 3e-11.  Ego-only scenes keep every attention softmax a
+    singleton, so the attention-jacobian gradients are exactly zero, not
+    residue below that noise; the layer checks cover multi-node attention.
+    Randomized parameters keep the ReLU stack off the kinks of zero biases."""
     cfg = ModelConfig(hidden=8, heads=2, t_n=4, t_f=3)
     rng = np.random.default_rng(5)
     scenes = []
@@ -135,10 +134,7 @@ def _elbo_case():
             future=future))
     batch = PreparedBatch(scenes=scenes, m=1)
     model = GranpModel(cfg, seed=0)
-    prng = np.random.default_rng(24)
-    for p in model.parameters():
-        # off the zero-bias ReLU kinks that central differences would cross
-        p.data = prng.uniform(-0.5, 0.5, size=p.data.shape)
+    model.flat[:] = np.random.default_rng(24).uniform(-0.5, 0.5, model.flat.size)
     noise = np.random.default_rng(7).standard_normal((1, cfg.latent))
     return lambda: model.elbo_loss(batch, noise)[0], model.parameters()
 

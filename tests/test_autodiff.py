@@ -696,13 +696,6 @@ def test_grad_check_interrupted_kills_its_children(f64, monkeypatch):
     assert w.data.tolist() == [1.0, 2.0]
 
 
-def test_grad_check_refuses_a_transposed_parameter(f64):
-    w = ad.Parameter("wt", np.arange(6.0).reshape(3, 2).T)
-    assert not w.data.flags.c_contiguous
-    with pytest.raises(DataError, match="'wt'.*not a writeable C-contiguous"):
-        ad.grad_check(lambda: ad.reduce_sum(ad.mul(w.tensor, w.tensor)), [w])
-
-
 def test_precision_switch_changes_dtype():
     assert ad.Tensor([1.0]).data.dtype == np.float32
     with ad.precision("f64"):

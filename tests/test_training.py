@@ -9,7 +9,7 @@ import pytest
 
 from granp import autodiff as ad
 from granp.data import NormalizationStats, T_F, T_N, TrajectoryScene, synth_scenes
-from granp.errors import DataError, FormatError, NumericError
+from granp.errors import DataError, FormatError, NumericError, ShapeError
 from granp.model import GranpModel, ModelConfig, PredictiveDistribution, prepare_scene
 from granp.training import (AdamState, EvalReport, TrainSettings,
                             baseline_report, constant_position_baseline,
@@ -84,6 +84,16 @@ def test_adam_rejects_missing_gradient():
     adam = AdamState(params)
     with pytest.raises(DataError, match="p1"):
         adam.step({"p0": np.zeros(1)})
+
+
+def test_adam_rejects_misshapen_gradient_before_any_update():
+    params = _params([[1.0], [2.0, 3.0]])
+    adam = AdamState(params)
+    with pytest.raises(ShapeError, match=r"'p1'.*\(1, 2\)"):
+        adam.step({"p0": np.ones(1), "p1": np.ones((1, 2))})
+    assert adam.t == 0
+    assert params[0].data.tolist() == [1.0] and params[1].data.shape == (2,)
+    assert not any(a.any() for a in [*adam.m.values(), *adam.v.values()])
 
 
 # -- training loop -------------------------------------------------------------
@@ -412,13 +422,46 @@ def test_checkpoint_f64_roundtrip_is_bit_identical(tmp_path, f64):
     assert len(blob) == 8 * sum(p.data.size for p in model.parameters())
 
 
-def test_grad_check_refuses_a_read_only_checkpoint_parameter(tmp_path, f64):
+def test_parameters_own_their_data_and_a_model_views_one_buffer(tmp_path):
+    with ad.precision("f64"):
+        given = np.arange(6.0)
+        p = ad.Parameter("p", given)
+        p.data[0] = 9.0
+        assert given[0] == 0.0                  # a copy, not the caller's array
+        for data in (np.arange(6.0).reshape(3, 2).T,
+                     np.frombuffer(np.arange(6.0).tobytes())):
+            q = ad.Parameter("q", data)
+            assert q.data.flags.writeable and q.data.flags.c_contiguous
+            np.testing.assert_array_equal(q.data, data)
+        with pytest.raises(ShapeError, match="'p'"):
+            p.data = np.zeros((1, 6))
+        assert p.data.shape == (6,)
+
+    def views_flat(model):
+        return all(np.shares_memory(p.data, model.flat) and p.data.flags.writeable
+                   for p in model.parameters())
+
     model, stats, reference = _roundtrip_setup()
+    assert views_flat(model)
     save_checkpoint(tmp_path, model, stats, reference)
-    w = load_checkpoint(tmp_path)[0].parameters()[0]
-    assert not w.data.flags.writeable    # a view of the file's bytes
-    with pytest.raises(DataError, match=f"{w.name!r}.*not a writeable"):
-        ad.grad_check(lambda: ad.reduce_sum(ad.mul(w.tensor, w.tensor)), [w])
+    assert views_flat(load_checkpoint(tmp_path)[0])     # f32 under f32
+    result = train(synth_scenes(10, seed=0, mix=0.5), _tiny_config(),
+                   TrainSettings(epochs=2, batch_size=8, reference_size=4), seed=1)
+    assert views_flat(result.model)
+
+
+@pytest.mark.parametrize("saved,loaded", [("f32", None), ("f64", None), ("f32", "f64")])
+def test_params_bin_is_each_parameter_little_endian_in_order(tmp_path, saved, loaded):
+    with ad.precision(saved):
+        model, stats, reference = _roundtrip_setup()
+    if loaded:
+        save_checkpoint(tmp_path / "saved", model, stats, reference)
+        with ad.precision(loaded):
+            model = load_checkpoint(tmp_path / "saved")[0]
+    save_checkpoint(tmp_path, model, stats, reference)
+    dt = "<f8" if (loaded or saved) == "f64" else "<f4"
+    blob = open(os.path.join(tmp_path, "params.bin"), "rb").read()
+    assert blob == b"".join(p.data.astype(dt).tobytes() for p in model.parameters())
 
 
 def test_checkpoint_keeps_parameter_precision_not_process_precision(tmp_path):
@@ -566,9 +609,10 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     save_checkpoint(tmp_path, model, stats, reference)
     blob_path = os.path.join(tmp_path, "params.bin")
     blob = open(blob_path, "rb").read()
-    open(blob_path, "wb").write(blob[:-8])
-    with pytest.raises(FormatError, match="truncated|trailing"):
-        load_checkpoint(tmp_path)
+    for bad, word in ((blob[:-8], "truncated"), (blob + bytes(8), "trailing")):
+        open(blob_path, "wb").write(bad)
+        with pytest.raises(FormatError, match=word):
+            load_checkpoint(tmp_path)
 
 
 def test_checkpoint_rejects_tampered_shape(tmp_path):
