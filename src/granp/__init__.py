@@ -9,7 +9,7 @@ from .data import (NormalizationStats, PreparedBatch, RawTrack,
 from .errors import DataError, FormatError, GranpError, NumericError, ShapeError
 from .model import (GranpModel, LatentDistribution, ModelConfig,
                     PredictiveDistribution, PreparedScene, kl_diag,
-                    prepare_scene, sample_latent)
+                    prepare_scene, prepare_scenes, sample_latent)
 from .scene_graph import AdjacencyMatrix, OccupancyGrid, build_adjacency
 from .training import (AdamState, EvalReport, TrainResult, TrainSettings,
                        baseline_report, evaluate, load_checkpoint,
@@ -26,7 +26,7 @@ __all__ = [
     "ShapeError", "TrainResult", "TrainSettings", "TrajectoryScene",
     "baseline_report", "build_adjacency", "evaluate", "ingest_tracks",
     "kl_diag", "load_checkpoint", "load_scenes", "make_episode",
-    "prepare_scene", "resample_and_window", "run_gradient_checks",
-    "sample_latent", "save_checkpoint", "save_scenes", "synth_scenes",
-    "train",
+    "prepare_scene", "prepare_scenes", "resample_and_window",
+    "run_gradient_checks", "sample_latent", "save_checkpoint", "save_scenes",
+    "synth_scenes", "train",
 ]

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .data import (TARGET_HZ, load_scenes, save_scenes, synth_scenes,
                    write_json)
 from .errors import GranpError, NumericError
-from .model import ModelConfig, prepare_scene
+from .model import ModelConfig, prepare_scene, prepare_scenes
 from .training import (TrainSettings, evaluate, load_checkpoint,
                        save_checkpoint, save_history, train)
 from .verification import GRAD_TOLERANCE, run_gradient_checks
@@ -97,7 +97,7 @@ def _cmd_predict(args) -> int:
         return EXIT_USAGE
     model, stats, reference = load_checkpoint(args.ckpt)
     target = prepare_scene(scenes[args.scene], stats)
-    context = [prepare_scene(s, stats) for s in reference]
+    context = prepare_scenes(reference, stats)
     pred = model.predict([target], context, stats, samples=args.samples,
                          seed=args.seed)[0]
     write_json(args.out, {

@@ -110,25 +110,64 @@ def gaussian_nll(y, mu, sigma) -> np.ndarray:
     return 0.5 * LOG_2PI + np.log(sigma) + np.square(y - mu) / (2.0 * np.square(sigma))
 
 
-def prepare_scene(scene, stats) -> PreparedScene:
-    """Keep the grid-gated nodes (ego first), then z-score the states.  The
+def prepare_scenes(scenes, stats) -> list:
+    """Keep each scene's grid-gated nodes (ego first), then z-score its
+    states and future; returns the PreparedScenes in input order.  The
     gating must come from meters: the grid is a physical extent.
 
-    Raises DataError when a z-scored value is NaN or beyond the largest
-    finite value of the run's precision, where the model's cast would make
-    it infinite: a finite input such as -1e308 overflows f32."""
-    order = select_grid_nodes(scene, T_N - 1)
-    states = np.stack([stats.apply_states(scene.history[v]) for v in order],
-                      axis=1)
-    future = None if scene.future is None else stats.apply_xy(scene.future)
+    Works PREDICT_CHUNK scenes at a time.  A chunk's states fill one f64
+    buffer, one row assignment per vehicle, and each scene's states are a
+    C-contiguous [t_n, n, 4] view of it; its futures share a second buffer.
+    The buffers are z-scored in place, with the operations and so the bytes
+    of stats.apply_states and stats.apply_xy.  A prepared scene keeps its
+    chunk's buffers alive.  No buffer spans every scene: see README.
+
+    Raises DataError, naming the ego of the first bad scene in input order,
+    when a z-scored value is NaN or beyond the largest finite value of the
+    run's precision, where the model's cast would make it infinite: a
+    finite input such as -1e308 overflows f32."""
+    scenes = list(scenes)
     limit = np.finfo(ad.dtype()).max
-    for name, arr in (("states", states), ("future", future)):
+
+    def fits(arr):
         # written so that NaN, for which every comparison is False, fails
-        if arr is not None and not (np.abs(arr) <= limit).all():
-            raise DataError(f"prepare_scene: scene of ego {scene.ego}: "
-                            f"normalized {name} is NaN or would overflow "
-                            f"{ad.get_precision()}")
-    return PreparedScene(ids=tuple(order), states=states, future=future)
+        return (np.abs(arr) <= limit).all()
+
+    prepared = []
+    for start in range(0, len(scenes), PREDICT_CHUNK):
+        chunk = scenes[start:start + PREDICT_CHUNK]
+        orders = [select_grid_nodes(sc, T_N - 1) for sc in chunk]
+        rows = np.empty((T_N * sum(map(len, orders)), STATE_FEATURES))
+        futures = np.empty((len(chunk), T_F, 2))
+        states = []
+        offset = 0
+        for i, (sc, order) in enumerate(zip(chunk, orders)):
+            view = rows[offset:offset + T_N * len(order)].reshape(
+                T_N, len(order), STATE_FEATURES)
+            offset += T_N * len(order)
+            for j, v in enumerate(order):
+                view[:, j] = sc.history[v]
+            futures[i] = sc.future
+            states.append(view)
+        rows -= stats.mean
+        rows /= stats.std
+        futures -= stats.mean[:2]
+        futures /= stats.std[:2]
+        if not (fits(rows) and fits(futures)):
+            for sc, st, fu in zip(chunk, states, futures):
+                for name, arr in (("states", st), ("future", fu)):
+                    if not fits(arr):
+                        raise DataError(f"prepare_scene: scene of ego {sc.ego}: "
+                                        f"normalized {name} is NaN or would "
+                                        f"overflow {ad.get_precision()}")
+        prepared += [PreparedScene(ids=tuple(order), states=s, future=f)
+                     for order, s, f in zip(orders, states, futures)]
+    return prepared
+
+
+def prepare_scene(scene, stats) -> PreparedScene:
+    """prepare_scenes of one scene."""
+    return prepare_scenes([scene], stats)[0]
 
 
 def kl_diag(posterior: LatentDistribution, prior: LatentDistribution) -> Tensor:
@@ -220,7 +259,7 @@ class GranpModel:
         padding node, so padding never reaches a real node's output.
         """
         cfg = self.config
-        # prepare_scene's rule, for hand-built scenes too: NaN fails it, as
+        # prepare_scenes' rule, for hand-built scenes too: NaN fails it, as
         # NaN arithmetic raises nothing in ad.numeric_errors
         limit = np.finfo(ad.dtype()).max
         for sc in scenes:

@@ -18,7 +18,9 @@ from .data import (NormalizationStats, TARGET_HZ, T_F, dump_json,
                    seeded_rng, write_atomic, write_json)
 from .errors import DataError, FormatError, ShapeError
 from .model import (GranpModel, ModelConfig, PredictiveDistribution,
-                    gaussian_nll, prepare_scene)
+                    gaussian_nll, prepare_scenes)
+# unused here: the benchmark's tracer hooks this name (ROADMAP Item 1)
+from .model import prepare_scene  # noqa: F401
 
 CHECKPOINT_VERSION = 3
 # params.bin element type per manifest "precision"
@@ -120,8 +122,8 @@ def train(scenes, config: ModelConfig, settings: TrainSettings, seed=0) -> Train
     train_raw = [scenes[i] for i in perm[n_val:]]
 
     stats = NormalizationStats.fit(train_raw)
-    prep_train = [prepare_scene(s, stats) for s in train_raw]
-    prep_val = [prepare_scene(s, stats) for s in val_raw]
+    prep_train = prepare_scenes(train_raw, stats)
+    prep_val = prepare_scenes(val_raw, stats)
     ref_n = min(settings.reference_size, len(train_raw))
     ref_idx = rng.choice(len(train_raw), size=ref_n, replace=False)
     ref_raw = [train_raw[i] for i in ref_idx]
@@ -234,8 +236,8 @@ def evaluate(model: GranpModel, scenes, stats, reference, samples: int = 30,
     metrics under ad.numeric_errors("evaluate")."""
     if not scenes:
         raise DataError("evaluate: no scenes")
-    targets = [prepare_scene(s, stats) for s in scenes]
-    context = [prepare_scene(s, stats) for s in reference]
+    targets = prepare_scenes(scenes, stats)
+    context = prepare_scenes(reference, stats)
     shape = (len(targets), model.config.t_f, 2)
     mean, sd = np.empty(shape), np.empty(shape)
     with ad.numeric_errors("predict"):

@@ -4,8 +4,8 @@ import pytest
 from granp import autodiff as ad
 from granp import model as granp_model
 from granp.autodiff import Tape, backward, grad_check
-from granp.data import (NormalizationStats, make_episode, seeded_rng,
-                        synth_scenes)
+from granp.data import (T_F, T_N, NormalizationStats, TrajectoryScene,
+                        make_episode, seeded_rng, synth_scenes)
 from granp.errors import DataError, NumericError, ShapeError
 from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          MAX_DIMENSION, LatentDistribution, ModelConfig,
@@ -865,6 +865,88 @@ def test_prepare_scene_rejects_nan(field):
     target[3, 1] = np.nan
     with pytest.raises(DataError, match="is NaN or would overflow f32"):
         prepare_scene(scene, stats)
+
+
+def _prepare_oracle(scene, stats):
+    """Per-vehicle preparation: gate, z-score each vehicle, then stack."""
+    order = select_grid_nodes(scene, T_N - 1)
+    states = np.stack([stats.apply_states(scene.history[v]) for v in order],
+                      axis=1)
+    return tuple(order), states, stats.apply_xy(scene.future)
+
+
+def _relabel(scene, offset):
+    """The scene with offset added to every vehicle id, the ego's included."""
+    return TrajectoryScene(
+        ego=scene.ego + offset, future=scene.future,
+        history={v + offset: h for v, h in scene.history.items()})
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_prepare_scenes_matches_the_per_vehicle_oracle_byte_for_byte(precision):
+    scenes = synth_scenes(200, seed=12, mix=0.7)
+    # synthetic neighbours always sit inside the grid; vehicle 9 does not
+    rng = np.random.default_rng(3)
+    history = {v: rng.normal(size=(T_N, 4)) for v in (7, 2, 9)}
+    history[7][T_N - 1, :2] = (0.0, 0.0)
+    history[2][T_N - 1, :2] = (1.0, -20.0)
+    history[9][T_N - 1, :2] = (0.0, GRID.length)
+    scenes.append(TrajectoryScene(ego=7, history=history,
+                                  future=rng.normal(size=(T_F, 2))))
+    stats = NormalizationStats.fit(scenes)
+    with ad.precision(precision):
+        prepared = granp_model.prepare_scenes(scenes, stats)
+        single = prepare_scene(scenes[-1], stats)
+    assert len(prepared) == len(scenes)
+    assert prepared[-1].ids == single.ids == (7, 2)
+    for scene, prep in zip(scenes, prepared):
+        ids, states, future = _prepare_oracle(scene, stats)
+        assert prep.ids == ids
+        assert prep.states.flags.c_contiguous and prep.future.flags.c_contiguous
+        for got, want in ((prep.states, states), (prep.future, future)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+    assert single.states.tobytes() == prepared[-1].states.tobytes()
+
+
+def test_writing_one_prepared_scene_leaves_its_chunk_mates_unchanged():
+    scenes = synth_scenes(5, seed=4, mix=0.5)
+    stats = NormalizationStats.fit(scenes)
+    prepared = granp_model.prepare_scenes(scenes, stats)
+    before = [(p.states.copy(), p.future.copy()) for p in prepared]
+    prepared[2].states[...] = 7.0
+    prepared[2].future[...] = 7.0
+    for i, (prep, (states, future)) in enumerate(zip(prepared, before)):
+        if i != 2:
+            np.testing.assert_array_equal(prep.states, states)
+            np.testing.assert_array_equal(prep.future, future)
+
+
+@pytest.mark.parametrize("case, name", [("nan_history", "states"),
+                                        ("nan_future", "future"),
+                                        ("huge_history", "states")])
+def test_prepare_scenes_names_the_first_bad_scene(case, name):
+    # -1e308 is finite in f64 but overflows f32 once z-scored; the 4th
+    # scene is bad too, so only the 3rd may be named
+    scenes = [_relabel(sc, 10 * (i + 1))
+              for i, sc in enumerate(synth_scenes(4, seed=4, mix=1.0))]
+    stats = NormalizationStats.fit(scenes)
+    third = scenes[2]
+    if case == "nan_future":
+        third.future[3, 1] = np.nan
+    else:
+        third.history[third.ego][3, 0] = (np.nan if case == "nan_history"
+                                          else -1e308)
+    scenes[3].history[scenes[3].ego][0, 0] = np.nan
+    with pytest.raises(DataError, match=(
+            rf"^prepare_scene: scene of ego {third.ego}: normalized {name} "
+            rf"is NaN or would overflow f32$")):
+        granp_model.prepare_scenes(scenes, stats)
+
+
+def test_prepare_scenes_of_no_scenes_is_empty():
+    stats = NormalizationStats(mean=np.zeros(4), std=np.ones(4))
+    assert granp_model.prepare_scenes([], stats) == []
 
 
 def test_model_seeding_is_deterministic():

@@ -326,7 +326,7 @@ def test_evaluate_keeps_predicts_checks():
     model = GranpModel(_tiny_config(), seed=0)
     with pytest.raises(DataError, match="samples must be >= 1, got 0"):
         evaluate(model, scenes[5:], stats, scenes[:5], samples=0)
-    with pytest.raises(DataError, match="empty context"):
+    with pytest.raises(DataError, match="^predict: empty context$"):
         evaluate(model, scenes[5:], stats, [])
 
 
