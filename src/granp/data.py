@@ -379,8 +379,11 @@ def scenes_from_doc(doc, where: str = "scene archive"):
             if isinstance(ego, bool) or not isinstance(ego, int):
                 raise FormatError(f"{where}: malformed scene archive (scene "
                                   f"{i} ego {ego!r} is not an integer)")
-            scenes.append(TrajectoryScene(
-                ego=ego, history=history, future=future))
+            try:
+                scenes.append(TrajectoryScene(
+                    ego=ego, history=history, future=future))
+            except DataError as err:
+                raise FormatError(f"{where}: scene {i}: {err}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{where}: malformed scene archive ({e})") from None
     return scenes

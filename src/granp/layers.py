@@ -154,8 +154,6 @@ class GatLayer:
         return ad.graph_attention(nodes_seq, self.w.tensor, self.a.tensor,
                                   np.asarray(mask) > 0)
 
-    forward = forward_seq   # the name single-graph callers use
-
 
 class CrossAttention:
     """Multi-head scaled dot-product attention from target queries over a

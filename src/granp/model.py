@@ -30,7 +30,7 @@ LATENT_SIGMA_SPAN = 0.9
 DECODER_SIGMA_MIN = 0.01
 
 STATE_FEATURES = 4      # x, y, s, a
-MAX_DIMENSION = 1024    # largest model dimension a config may set
+MAX_DIMENSION = 1024    # largest model dimension, or draw count, a run may set
 CONV_KERNEL = 3         # temporal kernel of the Conv-MLP encoders
 PREDICT_CHUNK = 32      # scenes per encode pass, context or targets; bounds memory
 
@@ -110,6 +110,12 @@ def gaussian_nll(y, mu, sigma) -> np.ndarray:
     return 0.5 * LOG_2PI + np.log(sigma) + np.square(y - mu) / (2.0 * np.square(sigma))
 
 
+def _fits(arr) -> bool:
+    """Whether every value of arr is finite in the run's precision; written
+    so that NaN, for which every comparison is False, fails."""
+    return (np.abs(arr) <= np.finfo(ad.dtype()).max).all()
+
+
 def prepare_scenes(scenes, stats) -> list:
     """Keep each scene's grid-gated nodes (ego first), then z-score its
     states and future; returns the PreparedScenes in input order.  The
@@ -127,16 +133,10 @@ def prepare_scenes(scenes, stats) -> list:
     run's precision, where the model's cast would make it infinite: a
     finite input such as -1e308 overflows f32."""
     scenes = list(scenes)
-    limit = np.finfo(ad.dtype()).max
-
-    def fits(arr):
-        # written so that NaN, for which every comparison is False, fails
-        return (np.abs(arr) <= limit).all()
-
     prepared = []
     for start in range(0, len(scenes), PREDICT_CHUNK):
         chunk = scenes[start:start + PREDICT_CHUNK]
-        orders = [select_grid_nodes(sc, T_N - 1) for sc in chunk]
+        orders = [select_grid_nodes(sc) for sc in chunk]
         rows = np.empty((T_N * sum(map(len, orders)), STATE_FEATURES))
         futures = np.empty((len(chunk), T_F, 2))
         states = []
@@ -153,10 +153,10 @@ def prepare_scenes(scenes, stats) -> list:
         rows /= stats.std
         futures -= stats.mean[:2]
         futures /= stats.std[:2]
-        if not (fits(rows) and fits(futures)):
+        if not (_fits(rows) and _fits(futures)):
             for sc, st, fu in zip(chunk, states, futures):
                 for name, arr in (("states", st), ("future", fu)):
-                    if not fits(arr):
+                    if not _fits(arr):
                         raise DataError(f"prepare_scene: scene of ego {sc.ego}: "
                                         f"normalized {name} is NaN or would "
                                         f"overflow {ad.get_precision()}")
@@ -259,9 +259,8 @@ class GranpModel:
         padding node, so padding never reaches a real node's output.
         """
         cfg = self.config
-        # prepare_scenes' rule, for hand-built scenes too: NaN fails it, as
-        # NaN arithmetic raises nothing in ad.numeric_errors
-        limit = np.finfo(ad.dtype()).max
+        # prepare_scenes' rule, for hand-built scenes too, as NaN arithmetic
+        # raises nothing in ad.numeric_errors
         for sc in scenes:
             if sc.states.shape[0] != cfg.t_n or sc.states.shape[2] != STATE_FEATURES:
                 raise DataError(f"scene states {sc.states.shape}, expected "
@@ -269,7 +268,7 @@ class GranpModel:
             if sc.states.shape[1] == 0:
                 raise DataError(f"scene with ids {sc.ids}: states "
                                 f"{sc.states.shape} have no nodes")
-            if sc.future is not None and not (np.abs(sc.future) <= limit).all():
+            if sc.future is not None and not _fits(sc.future):
                 raise DataError(f"scene with ids {sc.ids}: future is NaN or "
                                 f"would overflow {ad.get_precision()}")
         counts = np.array([sc.states.shape[1] for sc in scenes])
@@ -279,8 +278,8 @@ class GranpModel:
         for i, sc in enumerate(scenes):
             states[:, i, :counts[i], :STATE_FEATURES] = sc.states
         # the states in one pass per chunk
-        if not (np.abs(states) <= limit).all():
-            bad = next(sc for sc in scenes if not (np.abs(sc.states) <= limit).all())
+        if not _fits(states):
+            bad = next(sc for sc in scenes if not _fits(sc.states))
             raise DataError(f"scene with ids {bad.ids}: states are NaN or "
                             f"would overflow {ad.get_precision()}")
         real = np.arange(n_max) < counts[:, None]               # [B, n_max]
@@ -458,15 +457,17 @@ class GranpModel:
         mean and sd in meters.  Nothing is kept from one chunk to the next.
 
         The draws are seeded_rng(seed).standard_normal((samples, latent)),
-        so (samples, seed) fix them.  Pooled variance adds the decoder
-        variance to the spread of the sampled means; outputs are
-        de-normalized to meters via stats.  Callers iterate it under
-        ad.numeric_errors("predict").
+        so (samples, seed) fix them.  samples leads the noise and every
+        decoder pass, so it is refused above MAX_DIMENSION before any
+        allocation.  Pooled variance adds the decoder variance to the
+        spread of the sampled means; outputs are de-normalized to meters
+        via stats.  Callers iterate it under ad.numeric_errors("predict").
         """
         if not context:
             raise DataError("predict: empty context")
-        if samples < 1:
-            raise DataError(f"predict: samples must be >= 1, got {samples}")
+        if not 1 <= samples <= MAX_DIMENSION:
+            raise DataError(f"predict: samples must be in [1, {MAX_DIMENSION}], "
+                            f"got {samples}")
         noise = seeded_rng(seed).standard_normal((samples, self.config.latent))
         for rows, mus, sigmas in self.decode_targets(targets, context, noise):
             mus = mus.astype(np.float64)

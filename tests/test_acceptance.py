@@ -17,12 +17,12 @@ import pytest
 
 from granp import autodiff as ad
 from granp.cli import attention_export
-from granp.data import (NormalizationStats, RawTrack, resample_and_window,
-                        scenes_to_doc, synth_scenes)
+from granp.data import (NormalizationStats, RawTrack, TrajectoryScene,
+                        resample_and_window, scenes_to_doc, synth_scenes)
 from granp.layers import GatLayer
 from granp.model import (GranpModel, ModelConfig, PreparedBatch, kl_diag,
-                         prepare_scene)
-from granp.scene_graph import OccupancyGrid, build_adjacency
+                         prepare_scene, prepare_scenes)
+from granp.scene_graph import OccupancyGrid
 from granp.training import (TrainSettings, baseline_report, load_checkpoint,
                             metrics_from_predictions, save_checkpoint, train)
 from granp.verification import GRAD_TOLERANCE, run_gradient_checks
@@ -122,11 +122,12 @@ def test_context_permutation_invariance(f64):
     nodes = rng.normal(size=(5, 4))
     adj = np.maximum((rng.random((5, 5)) > 0.4).astype(float), np.eye(5))
     adj = np.maximum(adj, adj.T)
-    base_out = gat.forward(ad.constant(nodes), adj)[0].data
+    base_out = gat.forward_seq(ad.constant(nodes), adj)[0].data
     worst_gat = 0.0
     for _ in range(20):
         pi = rng.permutation(5)
-        out = gat.forward(ad.constant(nodes[pi]), adj[np.ix_(pi, pi)])[0].data
+        out = gat.forward_seq(ad.constant(nodes[pi]),
+                              adj[np.ix_(pi, pi)])[0].data
         worst_gat = max(worst_gat, np.abs(out - base_out[pi]).max())
 
     ok = worst_loss < 1e-5 and worst_pred < 1e-5 and worst_gat < 1e-6
@@ -135,27 +136,60 @@ def test_context_permutation_invariance(f64):
           f"(< 1e-5), gat equivariance {worst_gat:.2e} (< 1e-6)")
 
 
-def test_adjacency_properties_and_bandwidth():
+def test_scene_graph_is_the_grid_gate_and_one_block_per_scene(f64):
     grid = OccupancyGrid()
-    delta = grid.delta
-    rng = np.random.default_rng(8)
-    sym = diag = bounds = True
-    for _ in range(50):
-        n = int(rng.integers(1, 8))
-        pos = np.column_stack([rng.uniform(-5.0, 5.0, n),
-                               rng.uniform(-30.0, 30.0, n)])
-        a = build_adjacency(tuple(range(n)), pos).matrix
-        sym &= bool((a == a.T).all())
-        diag &= bool((np.diag(a) == 1.0).all())
-        bounds &= bool(((a >= 0.0) & (a <= 1.0)).all())
-    pair = build_adjacency((0, 1), np.array([[0.0, 0.0], [0.0, delta]])).matrix
-    kernel_err = abs(pair[0, 1] - math.exp(-1.0))
-    delta_err = abs(delta - 30.943)
-    ok = (sym and diag and bounds and kernel_err < 1e-12 and delta_err < 1e-3)
-    _gate("adjacency", ok,
-          f"symmetric {sym}, unit diagonal {diag}, in [0,1] {bounds}, "
-          f"exp(-1) err {kernel_err:.1e} (< 1e-12), "
-          f"delta {delta:.4f} m vs 30.943 (err {delta_err:.1e} < 1e-3)")
+    scenes = synth_scenes(60, seed=8, mix=0.5)
+    # one vehicle 1 m ahead of the grid's front edge, so the gate drops one
+    first = scenes[0]
+    ahead = first.history[first.ego].copy()
+    ahead[:, 1] += grid.length / 2.0 + 1.0
+    history = {**first.history, max(first.history) + 1: ahead}
+    scenes.append(TrajectoryScene(ego=first.ego, history=history,
+                                  future=first.future))
+    stats = NormalizationStats.fit(scenes)
+    prep = prepare_scenes(scenes, stats)
+
+    def inside(offset):
+        return (abs(offset[0]) <= grid.width / 2.0 + 1e-9
+                and abs(offset[1]) <= grid.length / 2.0 + 1e-9)
+
+    gate_ok = read_ok = True
+    dropped = 0
+    for sc, p in zip(scenes, prep):
+        # kept are exactly the vehicles inside the grid around the ego at
+        # the last history step, in meters, ego first
+        ego = sc.history[sc.ego][-1, :2]
+        expected = [sc.ego] + [v for v in sorted(sc.history) if v != sc.ego
+                               and inside(sc.history[v][-1, :2] - ego)]
+        gate_ok &= list(p.ids) == expected
+        dropped += len(sc.history) - len(p.ids)
+        # what the model reads, back in meters, is inside the grid too
+        pos = p.states[-1, :, :2] * stats.std[:2] + stats.mean[:2]
+        read_ok &= all(inside(q - pos[0]) for q in pos)
+
+    model = GranpModel(ModelConfig(hidden=16, heads=2), seed=3)
+    batch = prep[:8]
+    counts = [p.states.shape[1] for p in batch]
+    n_max = max(counts)
+    _, mask = model._stack(batch)
+    eye = np.eye(n_max, dtype=bool)
+    # [B, n_max, n_max]: one graph per scene, so no entry joins two scenes
+    block_ok = mask.shape == (len(batch), n_max, n_max) and all(
+        mask[i, :n, :n].all() and not mask[i, :n, n:].any()
+        and (mask[i, n:] == eye[n:]).all() for i, n in enumerate(counts))
+    padding = sum(n_max - n for n in counts)
+    h_batch = model.encode_pairs(batch)[0].data
+    worst = max(np.abs(h_batch[i] - model.encode_pairs([p])[0].data[0]).max()
+                for i, p in enumerate(batch))
+    ok = (gate_ok and read_ok and dropped == 1 and block_ok and padding > 0
+          and worst < 1e-9)
+    _gate("scene graph", ok,
+          f"{len(scenes)} scenes: kept = inside the {grid.length} x "
+          f"{grid.width} m grid {gate_ok} ({dropped} dropped, need 1), "
+          f"prepared nodes inside {read_ok}; {len(batch)}-scene mask one "
+          f"full block per scene, padding self-loop only {block_ok} "
+          f"({padding} padding nodes), batch vs alone encode "
+          f"{worst:.1e} (< 1e-9)")
 
 
 @pytest.mark.slow

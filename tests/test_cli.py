@@ -111,6 +111,24 @@ def test_nonpositive_samples_is_usage_error_before_any_read(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_samples_above_the_bound_is_data_error(pipeline, tmp_path, capsys,
+                                               command):
+    # numpy would fail to allocate the [samples, latent] noise
+    data, ckpt = pipeline
+    out = tmp_path / "o.json"
+    argv = [command, "--data", str(data), "--ckpt", str(ckpt),
+            "--report" if command == "eval" else "--out", str(out),
+            "--samples", str(10 ** 12)]
+    if command == "predict":
+        argv += ["--scene", "0"]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert _one_error_line(err, "error: ")
+    assert "samples must be in [1, 1024], got 1000000000000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "predict"])
 def test_negative_seed_is_usage_error(pipeline, tmp_path, capsys, command):
     # numpy rejects negative seeds; argparse must, before any work is done
@@ -388,6 +406,19 @@ def test_predict_non_integer_ego_is_data_error(pipeline, tmp_path, capsys,
     data, ckpt = _edited_copy(pipeline, tmp_path, **{edit: set_ego})
     assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
     assert "scene 0 ego 0.9 is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["edit_manifest", "edit_archive"])
+def test_predict_ego_missing_from_history_names_file_and_scene(
+        pipeline, tmp_path, capsys, edit):
+    def set_ego(doc):
+        doc.get("reference_context", doc)["scenes"][0]["ego"] = 999
+    data, ckpt = _edited_copy(pipeline, tmp_path, **{edit: set_ego})
+    assert _run_predict(data, ckpt, tmp_path / "p.json") == 3
+    err = capsys.readouterr().err
+    name = "manifest.json" if edit == "edit_manifest" else "scenes.json"
+    assert _one_error_line(err, "error: ")
+    assert f"{name}: scene 0: ego 999 missing from history" in err
 
 
 # A finite parameter near the f32 limit passes every load check, then

@@ -430,6 +430,25 @@ def test_archive_rejects_non_finite_values(tmp_path, field):
         data.load_scenes(p)
 
 
+@pytest.mark.parametrize("field,message", [
+    ("ego", "ego 999 missing from history"),
+    ("future", f"future shape ({data.T_F - 1}, 2), expected ({data.T_F}, 2)"),
+])
+def test_archive_scene_errors_name_the_file_and_scene(tmp_path, field,
+                                                      message):
+    doc = data.scenes_to_doc(_toy_scenes(5, count=2))
+    entry = doc["scenes"][1]
+    if field == "ego":
+        entry["ego"] = 999
+    else:
+        del entry["future"][-1]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape(
+            f"bad.json: scene 1: {message}")):
+        data.load_scenes(p)
+
+
 @pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1"])
 def test_archive_rejects_a_history_key_that_is_not_canonical(tmp_path, key):
     # int() read each as an id: "01" silently replaced vehicle 1's history,

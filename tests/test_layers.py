@@ -193,7 +193,7 @@ def _full_adjacency(n):
 def test_gat_single_node_self_loop():
     gat = layers.GatLayer("g", 4, 3, 2, _rng(18))
     node = _rng(19).normal(size=(1, 4))
-    out, attn = gat.forward(ad.Tensor(node), np.ones((1, 1)))
+    out, attn = gat.forward_seq(ad.Tensor(node), np.ones((1, 1)))
     np.testing.assert_allclose(attn, np.ones((2, 1, 1)), atol=1e-7)
     expected = np.maximum(
         np.mean([node.astype(np.float32) @ w for w in gat.w.data], axis=0), 0.0)
@@ -205,7 +205,7 @@ def test_gat_masked_pairs_get_exact_zero():
     adj = np.eye(5)
     adj[0, 1] = adj[1, 0] = 0.8
     nodes = ad.Tensor(_rng(21).normal(size=(5, 3)))
-    _, attn = gat.forward(nodes, adj)
+    _, attn = gat.forward_seq(nodes, adj)
     mask = adj > 0
     assert (attn[:, ~mask] == 0.0).all()
 
@@ -217,7 +217,7 @@ def test_gat_rows_sum_to_one_over_neighborhood():
     adj = np.maximum(adj, adj.T)
     np.fill_diagonal(adj, 1.0)
     nodes = ad.Tensor(rng.normal(size=(6, 3)))
-    _, attn = gat.forward(nodes, adj)
+    _, attn = gat.forward_seq(nodes, adj)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -230,9 +230,10 @@ def test_gat_permutation_equivariance(f64):
         adj = (rng.random((n, n)) > 0.3).astype(float)
         adj = np.maximum(adj, adj.T)
         np.fill_diagonal(adj, 1.0)
-        out, _ = gat.forward(ad.Tensor(nodes), adj)
+        out, _ = gat.forward_seq(ad.Tensor(nodes), adj)
         perm = rng.permutation(n)
-        out_p, _ = gat.forward(ad.Tensor(nodes[perm]), adj[np.ix_(perm, perm)])
+        out_p, _ = gat.forward_seq(ad.Tensor(nodes[perm]),
+                                   adj[np.ix_(perm, perm)])
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-6)
 
 
@@ -242,13 +243,13 @@ def test_gat_rejects_mask_row_without_edge():
     adj = np.ones((4, 4))
     adj[2] = 0.0
     with pytest.raises(DataError, match=r"mask row \[2\] has no edge"):
-        gat.forward(ad.Tensor(np.zeros((4, 3))), adj)
+        gat.forward_seq(ad.Tensor(np.zeros((4, 3))), adj)
 
 
 def test_gat_adjacency_shape_mismatch():
     gat = layers.GatLayer("g", 3, 3, 2, _rng(24))
     with pytest.raises(ShapeError):
-        gat.forward(ad.Tensor(np.zeros((4, 3))), np.ones((3, 3)))
+        gat.forward_seq(ad.Tensor(np.zeros((4, 3))), np.ones((3, 3)))
 
 
 def test_gat_grad_check(f64):
@@ -257,13 +258,9 @@ def test_gat_grad_check(f64):
     nodes = ad.constant(rng.normal(size=(4, 3)))
     adj = np.maximum((rng.random((4, 4)) > 0.3).astype(float), np.eye(4))
     adj = np.maximum(adj, adj.T)
-    errs = ad.grad_check(lambda: gat.forward(nodes, adj)[0].sum(), gat.parameters())
+    errs = ad.grad_check(lambda: gat.forward_seq(nodes, adj)[0].sum(),
+                         gat.parameters())
     assert max(errs.values()) < 1e-4
-
-
-def test_gat_forward_is_forward_seq():
-    # one code path: a single graph is forward_seq with no leading dims
-    assert layers.GatLayer.forward is layers.GatLayer.forward_seq
 
 
 def test_gat_seq_matches_per_step(f64):
@@ -273,7 +270,7 @@ def test_gat_seq_matches_per_step(f64):
     adj = _full_adjacency(3)
     out_seq, attn_seq = gat.forward_seq(ad.Tensor(seq), adj)
     for t in range(4):
-        out_t, attn_t = gat.forward(ad.Tensor(seq[t]), adj)
+        out_t, attn_t = gat.forward_seq(ad.Tensor(seq[t]), adj)
         np.testing.assert_allclose(out_seq.data[t], out_t.data, atol=1e-12)
         np.testing.assert_allclose(attn_seq[:, t], attn_t, atol=1e-12)
 

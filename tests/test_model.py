@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from granp.model import (DECODER_SIGMA_MIN, GranpModel, LOG_2PI,
                          PreparedBatch,
                          PreparedScene, gaussian_nll, kl_diag, prepare_scene,
                          sample_latent)
-from granp.scene_graph import GRID, build_adjacency, select_grid_nodes
+from granp.scene_graph import GRID, select_grid_nodes
 from granp.training import validation_nll
 
 
@@ -830,6 +832,14 @@ def test_predict_argument_validation():
         model.predict(batch.scenes, [], stats)
     with pytest.raises(DataError, match="samples"):
         model.predict(batch.scenes, batch.scenes, stats, samples=0)
+    # checked before the [samples, latent] noise is allocated
+    for samples in (MAX_DIMENSION + 1, 10 ** 12):
+        with pytest.raises(DataError, match=re.escape(
+                f"samples must be in [1, {MAX_DIMENSION}], got {samples}")):
+            model.predict(batch.scenes, batch.scenes, stats, samples=samples)
+    pred = model.predict(batch.scenes[:1], batch.scenes, stats,
+                         samples=MAX_DIMENSION)[0]
+    assert pred.samples.shape == (MAX_DIMENSION, cfg.t_f, 2)
     headless = PreparedScene(ids=batch.scenes[0].ids,
                              states=batch.scenes[0].states,
                              future=None)
@@ -847,7 +857,7 @@ def test_prepare_scene_orders_and_normalizes():
     assert prep.ids[0] == scene.ego
     assert list(prep.ids[1:]) == sorted(prep.ids[1:])
     # the grid gate reads meter positions, not the z-scored states
-    assert list(prep.ids) == select_grid_nodes(scene, 14)
+    assert list(prep.ids) == select_grid_nodes(scene)
     n = len(prep.ids)
     assert prep.states.shape == (15, n, 4)
     np.testing.assert_allclose(prep.states[:, 0],
@@ -869,7 +879,7 @@ def test_prepare_scene_rejects_nan(field):
 
 def _prepare_oracle(scene, stats):
     """Per-vehicle preparation: gate, z-score each vehicle, then stack."""
-    order = select_grid_nodes(scene, T_N - 1)
+    order = select_grid_nodes(scene)
     states = np.stack([stats.apply_states(scene.history[v]) for v in order],
                       axis=1)
     return tuple(order), states, stats.apply_xy(scene.future)
@@ -992,9 +1002,9 @@ def test_encode_pairs_padded_batch_matches_single_scenes(f64):
             assert (att[:, :, i, :n, n:] == 0.0).all()
 
 
-def test_stack_mask_is_the_support_of_the_rbf_adjacency():
-    """Every node kept by the grid gate lies within the ego's grid, so the
-    RBF adjacency has no zero in a scene and the mask is the full block."""
+def test_stack_mask_is_one_full_block_per_scene():
+    """The scene graph is complete over the grid-gated nodes: scene i's
+    nodes see each other and nothing else, and a padding node only itself."""
     rng = np.random.default_rng(19)
     cfg = _micro_config()
     model = GranpModel(cfg, seed=0)
@@ -1002,13 +1012,8 @@ def test_stack_mask_is_the_support_of_the_rbf_adjacency():
     _, mask = model._stack([_micro_scene(rng, cfg, n) for n in sizes])
     n_max = max(sizes)
     assert mask.dtype == bool and mask.shape == (len(sizes), n_max, n_max)
-    half = np.array([GRID.width, GRID.length]) / 2.0
     for i, n in enumerate(sizes):
-        # ego at the origin; neighbors anywhere in its grid, two at corners
-        pos = np.vstack([np.zeros(2), half, -half,
-                         rng.uniform(-half, half, size=(4, 2))])[:n]
-        adj = build_adjacency(range(n), pos).matrix
-        np.testing.assert_array_equal(mask[i, :n, :n], adj > 0)
+        assert mask[i, :n, :n].all()
         assert not mask[i, :n, n:].any()
         np.testing.assert_array_equal(mask[i, n:],
                                       np.eye(n_max, dtype=bool)[n:])

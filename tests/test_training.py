@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -324,7 +325,8 @@ def test_evaluate_keeps_predicts_checks():
     scenes = synth_scenes(8, seed=4, mix=0.5)
     stats = NormalizationStats.fit(scenes[:5])
     model = GranpModel(_tiny_config(), seed=0)
-    with pytest.raises(DataError, match="samples must be >= 1, got 0"):
+    with pytest.raises(DataError, match="^" + re.escape(
+            "predict: samples must be in [1, 1024], got 0") + "$"):
         evaluate(model, scenes[5:], stats, scenes[:5], samples=0)
     with pytest.raises(DataError, match="^predict: empty context$"):
         evaluate(model, scenes[5:], stats, [])
