@@ -91,6 +91,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        """The value of a one-element tensor, as numpy's ``item``."""
+        if self.data.size != 1:
+            raise ShapeError(f"item: tensor of shape {self.data.shape} is not one element")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
@@ -378,8 +381,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
-    inv = np.argsort(axes)
-    return _record(out, (x,), lambda g: (np.transpose(g, inv),))
+    return _record(out, (x,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -432,9 +434,12 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
-    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))))
-    return _record(out, (x,), lambda g: (g * _sigmoid(x.data),))
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow.
+    Runs on one contiguous copy of x: numpy's exp and log1p are slow on a
+    strided view, as decode's last-axis slice is."""
+    xd = np.ascontiguousarray(x.data)
+    out = Tensor(np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd))))
+    return _record(out, (x,), lambda g: (g * _sigmoid(xd),))
 
 
 def softmax_rows(x: Tensor, mask=None) -> Tensor:
@@ -633,6 +638,127 @@ def graph_attention(x: Tensor, w: Tensor, a: Tensor, mask):
 
     attention = np.moveaxis(alpha.reshape(lead + (n, q, heads)), (-1, -3), (0, -1))
     return _record(out, (x, w, a), bwd), attention
+
+
+def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """A stack of affine layers with ReLU between them and none after the
+    last, as one tape node: x [..., w_0] -> [..., w_L].
+
+    Layer i is h @ W_i + b_i, W_i [w_i, w_i+1] and b_i [w_i+1], on x
+    flattened to rows, so each layer is one GEMM whatever x's leading dims.
+    The backward applies the ops that the tape of matmul, add and relu
+    nodes would, in the same order, and sums each bias gradient over one
+    leading axis at a time, as that tape's broadcast add did, so every
+    gradient matches it bit for bit.  Only a recorded call keeps the layer
+    inputs that the backward reads.
+    """
+    if not weights or len(weights) != len(biases):
+        raise ShapeError(f"mlp: {len(weights)} weights for {len(biases)} biases")
+    if x.ndim < 2:
+        raise ShapeError(f"mlp: input must be at least 2-D, got {x.shape}")
+    width = x.shape[-1]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        shape = w.data.shape    # the array's own: Tensor.shape costs a call
+        if len(shape) != 2 or shape[0] != width or b.data.shape != shape[1:]:
+            raise ShapeError(f"mlp: layer {i} has W {shape} and b {b.shape} "
+                             f"for input width {width}")
+        width = shape[1]
+    inputs = (x, *weights, *biases)
+    keep = _recording(inputs) is not None
+    lead = x.shape[:-1]
+    last = len(weights) - 1
+    rows = []           # each layer's input rows, when recorded
+    h = x.data.reshape(-1, x.shape[-1])
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if keep:
+            rows.append(h)
+        h = h @ w.data
+        h += b.data
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+    out = Tensor(h.reshape(lead + (width,)))
+
+    def bwd(g):
+        g_ws, g_bs = [], []
+        for i in reversed(range(last + 1)):
+            w = weights[i].data
+            g_b = g
+            while g_b.ndim > 1:
+                g_b = g_b.sum(axis=0)
+            g_rows = g.reshape(-1, w.shape[1])
+            g_ws.append(rows[i].T @ g_rows)
+            g_bs.append(g_b)
+            if i == 0:
+                break
+            # the ReLU that made layer i's input passes where it is > 0
+            g = ((g_rows @ w.T) * (rows[i] > 0)).reshape(lead + (w.shape[0],))
+        g_x = (g_rows @ w.T).reshape(x.shape) if x.requires_grad else None
+        return (g_x, *g_ws[::-1], *g_bs[::-1])
+
+    return _record(out, inputs, bwd)
+
+
+def cross_attention(queries: Tensor, keys: Tensor, values: Tensor, wq: Tensor,
+                    wk: Tensor, wv: Tensor, wo: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node: queries
+    [k, D] over keys and values [m, D], m >= 1 -> [k, D].
+
+    wq, wk, wv and wo are [D, D].  Head j reads columns j·hd to (j+1)·hd of
+    the three projections, hd = D / heads, and softmaxes q_j k_j^T / √hd
+    over the m keys; the heads' outputs, side by side, are projected by wo.
+    All heads run as one batched GEMM over [H, k, hd] and [H, hd, m] views.
+
+    The backward applies the ops that the tape of the composed primitives
+    did, in the same order, so every gradient matches it bit for bit; the
+    inputs are recorded values first, as that tape summed a gradient into
+    a tensor passed twice.  An input that needs no gradient gets None.
+    """
+    d = queries.shape[-1] if queries.ndim else 0
+    if (queries.ndim != 2 or keys.ndim != 2 or keys.shape[0] == 0
+            or values.shape != keys.shape or keys.shape[1] != d
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo))):
+        raise ShapeError(f"cross_attention: queries {queries.shape}, keys {keys.shape}, "
+                         f"values {values.shape}, weights {wq.shape}, {wk.shape}, "
+                         f"{wv.shape}, {wo.shape}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"cross_attention: dim {d} not divisible by {heads} heads")
+    n_q, n_kv = queries.shape[0], keys.shape[0]
+    hd = d // heads
+    q = (queries.data @ wq.data).reshape(n_q, heads, hd).transpose(1, 0, 2)
+    k = (keys.data @ wk.data).reshape(n_kv, heads, hd).transpose(1, 2, 0)
+    v = (values.data @ wv.data).reshape(n_kv, heads, hd).transpose(1, 0, 2)
+    # in the run's precision: an f64 scale would promote f32 scores
+    scale = _dtype.type(1.0 / np.sqrt(hd))
+    alpha = q @ k                                               # [H, k, m]
+    alpha *= scale
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    merged = (alpha @ v).transpose(1, 0, 2).reshape(n_q, d)
+    out = Tensor(merged @ wo.data)
+
+    def project_bwd(x, w, g_heads, axes):
+        """Gradients of x @ w from those of its [H, ., .] head view."""
+        g_rows = g_heads.transpose(axes).reshape(-1, d)
+        g_x = g_rows @ w.data.T if x.requires_grad else None
+        return g_x, x.data.T @ g_rows
+
+    def bwd(g):
+        g_rows = g.reshape(-1, d)
+        g_wo = merged.T @ g_rows
+        g_av = (g_rows @ wo.data.T).reshape(n_q, heads, hd).transpose(1, 0, 2)
+        g_alpha = g_av @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(alpha, -1, -2) @ g_av
+        g_s = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+        g_s = g_s * scale
+        g_q = g_s @ np.swapaxes(k, -1, -2)
+        g_k = np.swapaxes(q, -1, -2) @ g_s
+        g_values, g_wv = project_bwd(values, wv, g_v, (1, 0, 2))
+        g_keys, g_wk = project_bwd(keys, wk, g_k, (2, 0, 1))
+        g_queries, g_wq = project_bwd(queries, wq, g_q, (1, 0, 2))
+        return g_values, g_keys, g_queries, g_wq, g_wk, g_wv, g_wo
+
+    return _record(out, (values, keys, queries, wq, wk, wv, wo), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 class MlpBlock:
-    """Stack of affine layers with ReLU between stages and identity output."""
+    """Stack of affine layers with ReLU between stages and identity output;
+    ``forward`` is one tape node, ``ad.mlp``."""
 
     def __init__(self, name: str, widths, rng: np.random.Generator):
         if len(widths) < 2:
@@ -39,13 +40,7 @@ class MlpBlock:
         if x.shape[-1] != self.widths[0]:
             raise ShapeError(
                 f"mlp_forward: input extent {x.shape[-1]} does not match width {self.widths[0]}")
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w.tensor) + b.tensor
-            if i != last:
-                h = ad.relu(h)
-        return h
+        return ad.mlp(x, [w.tensor for w in self.weights], [b.tensor for b in self.biases])
 
 
 class LstmEncoder:
@@ -157,7 +152,8 @@ class GatLayer:
 
 class CrossAttention:
     """Multi-head scaled dot-product attention from target queries over a
-    context set; heads are concatenated and linearly projected."""
+    context set; heads are concatenated and linearly projected.  ``attend``
+    is one tape node, ``ad.cross_attention``."""
 
     def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -180,12 +176,5 @@ class CrossAttention:
         if queries.shape[-1] != self.dim or keys.shape[-1] != self.dim:
             raise ShapeError(
                 f"cross_attend: expected feature dim {self.dim}, got {queries.shape} / {keys.shape}")
-        n_q, n_kv = queries.shape[0], keys.shape[0]
-        heads, hd = self.heads, self.head_dim
-        # every head in one pass: q [H, k, hd], k^T [H, hd, m], v [H, m, hd]
-        q = ad.transpose(ad.matmul(queries, self.w_q.tensor).reshape((n_q, heads, hd)), (1, 0, 2))
-        k = ad.transpose(ad.matmul(keys, self.w_k.tensor).reshape((n_kv, heads, hd)), (1, 2, 0))
-        v = ad.transpose(ad.matmul(values, self.w_v.tensor).reshape((n_kv, heads, hd)), (1, 0, 2))
-        alpha = ad.softmax_rows(ad.matmul(q, k) * ad.constant(1.0 / np.sqrt(hd)))  # [H, k, m]
-        merged = ad.transpose(ad.matmul(alpha, v), (1, 0, 2)).reshape((n_q, self.dim))
-        return ad.matmul(merged, self.w_o.tensor)
+        return ad.cross_attention(queries, keys, values, self.w_q.tensor, self.w_k.tensor,
+                                  self.w_v.tensor, self.w_o.tensor, self.heads)

@@ -223,6 +223,18 @@ def test_backward_rejects_non_scalar_root():
         ad.backward(tape, y, [p])
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_a_one_element_tensor(shape):
+    assert ad.Tensor(np.full(shape, 2.5)).item() == 2.5
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 3), (0,)])
+def test_item_rejects_a_tensor_of_other_size(shape):
+    # numpy's item() rule: element 0 of a larger tensor is not its value
+    with pytest.raises(ShapeError, match="^item: "):
+        ad.Tensor(np.ones(shape)).item()
+
+
 def test_backward_deterministic_bit_identical():
     rng = np.random.default_rng(3)
     p = ad.Parameter("w", rng.normal(size=(4, 4)))
@@ -385,6 +397,189 @@ def test_graph_attention_shape_errors(x_shape, w_shape, a_shape, mask_shape):
     w, a = ad.Tensor(np.zeros(w_shape)), ad.Tensor(np.zeros(a_shape))
     with pytest.raises(ShapeError, match="^graph_attention: "):
         ad.graph_attention(ad.Tensor(np.zeros(x_shape)), w, a, np.ones(mask_shape, bool))
+
+
+# ---------------------------------------------------------------------------
+# mlp and cross_attention: one tape node each, bit for bit the composition
+
+
+def _composed_mlp(x, weights, biases):
+    """The block as one tape node per primitive, as MlpBlock once ran it."""
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = ad.matmul(h, w) + b
+        if i != len(weights) - 1:
+            h = ad.relu(h)
+    return h
+
+
+def _mlp_params(rng, widths):
+    """Weights, and biases drawn nonzero so that every ReLU both passes and
+    blocks some entries."""
+    ws = [ad.Parameter(f"{i}.W", rng.normal(size=pair))
+          for i, pair in enumerate(zip(widths[:-1], widths[1:]))]
+    bs = [ad.Parameter(f"{i}.b", rng.normal(size=n)) for i, n in enumerate(widths[1:])]
+    return ws, bs
+
+
+def _bytes_of_runs(fns, run):
+    """run(fn) -> (out, grads) for each fn, as bytes."""
+    results = []
+    for fn in fns:
+        out, grads = run(fn)
+        results.append([out.data.tobytes()]
+                       + [(name, g.tobytes()) for name, g in sorted(grads.items())])
+    return results
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("lead", [(7,), (3, 2)])            # 2-D and 3-D input
+@pytest.mark.parametrize("widths", [[5, 4], [5, 6, 6, 6, 3]])  # 1 and 4 layers
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_mlp_matches_tape_composition(prec, lead, widths, x_grad):
+    rng = np.random.default_rng(len(lead) * 10 + len(widths))
+    with ad.precision(prec):
+        ws, bs = _mlp_params(rng, widths)
+        x = ad.Parameter("x", rng.normal(size=lead + (widths[0],)))
+        x_in = x.tensor if x_grad else ad.constant(x.data)
+        up = ad.constant(rng.normal(size=lead + (widths[-1],)))
+
+        def run(fn):
+            with ad.Tape() as tape:
+                out = fn(x_in, [w.tensor for w in ws], [b.tensor for b in bs])
+                root = ad.reduce_sum(ad.mul(out, up))
+            return out, ad.backward(tape, root, [x] + ws + bs)
+
+        ours, ref = _bytes_of_runs((ad.mlp, _composed_mlp), run)
+    assert ours == ref
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_mlp_block_called_twice_in_one_tape(prec):
+    # as latent_mlp: a prior on the first rows' mean, a posterior on all
+    # rows' mean, of one upstream tensor
+    rng = np.random.default_rng(5)
+    with ad.precision(prec):
+        ws, bs = _mlp_params(rng, [6, 6, 4])
+        s = ad.Parameter("s", rng.normal(size=(5, 6)))
+        up = ad.constant(rng.normal(size=(1, 4)))
+
+        def run(fn):
+            with ad.Tape() as tape:
+                args = ([w.tensor for w in ws], [b.tensor for b in bs])
+                prior = fn(s.tensor[:2].mean(axis=0, keepdims=True), *args)
+                post = fn(s.tensor.mean(axis=0, keepdims=True), *args)
+                root = ad.reduce_sum(ad.mul(ad.sub(post, prior), up))
+            return root, ad.backward(tape, root, [s] + ws + bs)
+
+        ours, ref = _bytes_of_runs((ad.mlp, _composed_mlp), run)
+    assert ours == ref
+
+
+def test_mlp_gives_a_constant_input_no_gradient():
+    rng = np.random.default_rng(6)
+    ws, bs = _mlp_params(rng, [3, 4, 2])
+    with ad.Tape() as tape:
+        ad.mlp(ad.constant(rng.normal(size=(2, 3))), [w.tensor for w in ws],
+               [b.tensor for b in bs])
+    (node,) = tape.nodes
+    grads = node.bwd(np.ones((2, 2), np.float32))
+    assert grads[0] is None
+    assert [g.shape for g in grads[1:]] == [(3, 4), (4, 2), (4,), (2,)]
+
+
+@pytest.mark.parametrize("x_shape,w_shapes,b_shapes", [
+    ((4,), [(4, 3)], [(3,)]),                   # x not at least 2-D
+    ((2, 4), [(4, 3)], []),                     # no bias for the layer
+    ((2, 4), [], []),                           # no layer
+    ((2, 4), [(5, 3)], [(3,)]),                 # W rows differ from x features
+    ((2, 4), [(4, 3), (2, 2)], [(3,), (2,)]),   # W rows differ from the last width
+    ((2, 4), [(4, 3)], [(1, 3)]),               # b is not [w_out]
+    ((2, 4), [(4, 3)], [(4,)]),                 # b width differs from W's
+    ((2, 4), [(2, 4, 3)], [(3,)]),              # W is not 2-D
+])
+def test_mlp_shape_errors(x_shape, w_shapes, b_shapes):
+    ws = [ad.Tensor(np.zeros(s)) for s in w_shapes]
+    bs = [ad.Tensor(np.zeros(s)) for s in b_shapes]
+    with pytest.raises(ShapeError, match="^mlp: "):
+        ad.mlp(ad.Tensor(np.zeros(x_shape)), ws, bs)
+
+
+def _composed_cross_attention(queries, keys, values, wq, wk, wv, wo, heads):
+    """Attention as one tape node per primitive, as CrossAttention once ran
+    it: every head in one pass over [H, k, hd] and [H, hd, m] views."""
+    n_q, n_kv, dim = queries.shape[0], keys.shape[0], wq.shape[0]
+    hd = dim // heads
+    q = ad.transpose(ad.matmul(queries, wq).reshape((n_q, heads, hd)), (1, 0, 2))
+    k = ad.transpose(ad.matmul(keys, wk).reshape((n_kv, heads, hd)), (1, 2, 0))
+    v = ad.transpose(ad.matmul(values, wv).reshape((n_kv, heads, hd)), (1, 0, 2))
+    alpha = ad.softmax_rows(ad.matmul(q, k) * ad.constant(1.0 / np.sqrt(hd)))
+    merged = ad.transpose(ad.matmul(alpha, v), (1, 0, 2)).reshape((n_q, dim))
+    return ad.matmul(merged, wo)
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("inputs", ["slice", "shared", "constant"])
+def test_cross_attention_matches_tape_composition(prec, heads, inputs):
+    """slice: the keys are the queries' first rows, as in elbo_loss; shared:
+    one tensor is keys and values and has another consumer, so the order in
+    which its three gradients are summed shows; constant: no input needs a
+    gradient, as in the gradient check's layer case."""
+    rng = np.random.default_rng(heads)
+    with ad.precision(prec):
+        ws = [ad.Parameter(name, rng.normal(size=(8, 8)) / 3.0)
+              for name in ("wq", "wk", "wv", "wo")]
+        h = ad.Parameter("h", rng.normal(size=(6, 8)))
+        r = ad.Parameter("r", rng.normal(size=(3, 8)))
+        up = ad.constant(rng.normal(size=(6, 8)))
+
+        def run(fn):
+            with ad.Tape() as tape:
+                if inputs == "slice":
+                    qkv = h.tensor, h.tensor[:3], r.tensor
+                elif inputs == "shared":
+                    qkv = h.tensor, r.tensor, r.tensor
+                else:
+                    qkv = ad.constant(h.data), ad.constant(r.data), ad.constant(r.data)
+                out = fn(*qkv, *(w.tensor for w in ws), heads)
+                root = ad.reduce_sum(ad.mul(out, up))
+                if inputs == "shared":
+                    root = ad.add(root, ad.reduce_sum(ad.mul(r.tensor, r.tensor)))
+            return out, ad.backward(tape, root, [h, r] + ws)
+
+        ours, ref = _bytes_of_runs((ad.cross_attention, _composed_cross_attention), run)
+    assert ours == ref
+
+
+def test_cross_attention_gives_constant_inputs_no_gradient():
+    rng = np.random.default_rng(8)
+    ws = [ad.Parameter(name, rng.normal(size=(4, 4))) for name in ("q", "k", "v", "o")]
+    kv = ad.constant(rng.normal(size=(3, 4)))
+    with ad.Tape() as tape:
+        ad.cross_attention(ad.constant(rng.normal(size=(2, 4))), kv, kv,
+                           *(w.tensor for w in ws), 2)
+    (node,) = tape.nodes
+    grads = node.bwd(np.ones((2, 4), np.float32))
+    assert grads[:3] == (None, None, None)
+    assert all(g.shape == (4, 4) for g in grads[3:])
+
+
+@pytest.mark.parametrize("q_shape,k_shape,v_shape,w_shape,heads", [
+    ((2, 4), (3, 4), (3, 4), (4, 4), 3),        # dim not divisible by heads
+    ((2, 4), (3, 4), (3, 4), (4, 4), 0),        # no head
+    ((2, 4), (0, 4), (0, 4), (4, 4), 2),        # no key
+    ((2, 4), (3, 4), (2, 4), (4, 4), 2),        # values differ from keys
+    ((2, 4), (3, 5), (3, 5), (4, 4), 2),        # keys' dim differs from queries'
+    ((2, 2, 4), (3, 4), (3, 4), (4, 4), 2),     # queries not [k, D]
+    ((4,), (3, 4), (3, 4), (4, 4), 2),          # queries 1-D
+    ((2, 4), (3, 4), (3, 4), (4, 5), 2),        # weights not [D, D]
+])
+def test_cross_attention_shape_errors(q_shape, k_shape, v_shape, w_shape, heads):
+    ws = [ad.Tensor(np.zeros(w_shape))] * 4
+    with pytest.raises(ShapeError, match="^cross_attention: "):
+        ad.cross_attention(ad.Tensor(np.zeros(q_shape)), ad.Tensor(np.zeros(k_shape)),
+                           ad.Tensor(np.zeros(v_shape)), *ws, heads)
 
 
 def test_lstm_without_tape_keeps_no_per_step_arrays():
